@@ -3,7 +3,7 @@
 //
 // For each model: quantize, generate a functional suite, enumerate the FULL
 // fault universe (stuck-at + requant + accumulator) UNCAPPED, then run the
-// static ATPG stage over the affine range analysis:
+// static ATPG stage over the interval range analysis:
 //   1. untestable prune (analysis::classify_universe) — every pruned fault
 //      is also simulated once and REQUIRED undetected (soundness contract);
 //   2. dominance collapse (analysis::analyze_dominance) — a sample of the
@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/affine_domain.h"
 #include "analysis/range_analysis.h"
 #include "analysis/testability.h"
 #include "bench/bench_common.h"
@@ -172,7 +171,7 @@ int main(int argc, char** argv) {
       const auto suite = validate::TestSuite::from_labels(inputs, golden);
       run.tests = suite.size();
 
-      // FULL fault universe, uncapped: the static ATPG stage (affine range
+      // FULL fault universe, uncapped: the static ATPG stage (range
       // analysis, untestable prune, dominance collapse) is cheap enough to
       // run over every enumerated fault — the same staging qualify_suite
       // runs; only simulation is thinned to the budget.
@@ -180,9 +179,7 @@ int main(int argc, char** argv) {
           fault::FaultUniverse::enumerate(qmodel, fault::universe_config("full"));
       run.enumerated = raw.size();
       auto t_prune = Clock::now();
-      analysis::RangeOptions range_options;
-      range_options.item_dims = trained.item_shape.dims();
-      const auto range = analysis::analyze_ranges_affine(qmodel, range_options);
+      const auto range = analysis::analyze_ranges(qmodel);
       const auto report = analysis::classify_universe(qmodel, range, raw);
       const auto possibly = analysis::prune_untestable(raw, report);
       const auto dom = analysis::analyze_dominance(qmodel, range, possibly);
@@ -356,7 +353,6 @@ int main(int argc, char** argv) {
       std::map<std::string, std::string> config;
       config["quick"] = quick ? "1" : "0";
       config["preset"] = "full";
-      config["domain"] = "affine";
       config["tests"] = std::to_string(num_tests);
       config["fault_budget"] = std::to_string(budget);
       config["reps"] = std::to_string(reps);

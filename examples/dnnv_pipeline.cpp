@@ -47,21 +47,12 @@
 // fault coverage automatically when the manifest carries a fault model.
 //
 // Static analysis (--analyze): quantize the chosen zoo model and print the
-// range analysis under the chosen abstract domain (per-layer accumulator /
-// code hulls — with the affine domain's hull width as a percentage of the
-// interval baseline — dead and overflow-capable channels), the IR-verifier
-// findings, the static fault-testability + dominance summaries for the
-// chosen universe preset, and (--calibrated) the conditionally-masked
-// in-distribution faults with their excitation targets:
+// interval range analysis (per-layer accumulator / code hulls, dead and
+// overflow-capable channels), the IR-verifier findings, and the static
+// fault-testability + dominance summaries for the chosen universe preset:
 //
 //   dnnv_pipeline --analyze [--model mnist|cifar] [--tiny]
-//                 [--domain interval|affine] [--calibrated]
 //                 [--fault-universe stuck-at|full] [--fault-budget 2048]
-//
-// The vendor side takes the same --domain/--calibrated pair to pick the
-// abstract domain the fault-qualification static passes run under and to
-// ship the calibrated conditioning (domains, conditional counts, excitation
-// targets) in the manifest.
 //
 // Lint (--lint): load a deliverable WITHOUT the load-time verification gate
 // and print every typed finding; exit 0 = clean (warnings allowed), 3 =
@@ -81,7 +72,6 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/affine_domain.h"
 #include "analysis/range_analysis.h"
 #include "analysis/testability.h"
 #include "analysis/verifier.h"
@@ -112,19 +102,34 @@ std::string fault_preset(const CliArgs& args) {
   return preset;
 }
 
-int run_vendor(const CliArgs& args) {
-  const std::string which = args.get_string("model", "cifar");
-  const std::string out = args.get_string("out", "deliverable.bin");
-  const auto key = static_cast<std::uint64_t>(args.get_int("key", 12345));
+/// The --model/--tiny zoo model and its --pool sample of training images.
+struct ZooModel {
+  exp::TrainedModel trained;
+  data::MaterializedData pool;
 
+  /// The int8 artifact, calibrated on the pool with the default config.
+  quant::QuantModel quantize() const {
+    return quant::QuantModel::quantize(trained.model, pool.images,
+                                       quant::QuantConfig{});
+  }
+};
+
+ZooModel load_zoo_model(const CliArgs& args) {
   exp::ZooOptions zoo;
   zoo.tiny = args.get_bool("tiny", false);
   zoo.verbose = true;
-  auto trained =
-      which == "mnist" ? exp::mnist_tanh(zoo) : exp::cifar_relu(zoo);
   const auto pool_size = static_cast<std::int64_t>(args.get_int("pool", 300));
-  const auto pool = which == "mnist" ? exp::digits_train(pool_size)
-                                     : exp::shapes_train(pool_size);
+  if (args.get_string("model", "cifar") == "mnist") {
+    return {exp::mnist_tanh(zoo), exp::digits_train(pool_size)};
+  }
+  return {exp::cifar_relu(zoo), exp::shapes_train(pool_size)};
+}
+
+int run_vendor(const CliArgs& args) {
+  const std::string out = args.get_string("out", "deliverable.bin");
+  const auto key = static_cast<std::uint64_t>(args.get_int("key", 12345));
+  const ZooModel zoo = load_zoo_model(args);
+  const auto& trained = zoo.trained;
 
   pipeline::VendorOptions options;
   options.method = args.get_string("method", "combined");
@@ -140,8 +145,6 @@ int run_vendor(const CliArgs& args) {
     options.fault_model = fault_preset(args);
     options.fault_budget = args.get_int("fault-budget", 2048);
     options.compact = args.get_bool("compact", false);
-    options.analysis_domain = args.get_string("domain", "affine");
-    options.calibrated = args.get_bool("calibrated", true);
   }
 
   std::cout << "vendor: " << trained.name << ", method '" << options.method
@@ -150,8 +153,8 @@ int run_vendor(const CliArgs& args) {
   pipeline::VendorReport report;
   const auto deliverable =
       pipeline::VendorPipeline(options).run(trained.model, trained.item_shape,
-                                            trained.num_classes, pool.images,
-                                            &report);
+                                            trained.num_classes,
+                                            zoo.pool.images, &report);
   deliverable.save_file(out, key);
   std::cout << "coverage " << format_percent(report.coverage);
   if (report.backend_float_agreement >= 0) {
@@ -171,11 +174,6 @@ int run_vendor(const CliArgs& args) {
               << fs.detected << " detected ("
               << format_percent(fs.detection_rate()) << "), dominance core "
               << fs.core;
-    if (options.calibrated) {
-      std::cout << "\nconditionally masked in-distribution: "
-                << fs.conditional << " fault(s), " << fs.excitations.size()
-                << " excitation target(s) shipped in the manifest";
-    }
     if (options.compact) {
       std::cout << "\ncompacted suite: " << fs.kept_tests << "/"
                 << report.generation.tests.size()
@@ -188,23 +186,15 @@ int run_vendor(const CliArgs& args) {
 }
 
 int run_list_faults(const CliArgs& args) {
-  const std::string which = args.get_string("model", "cifar");
-  exp::ZooOptions zoo;
-  zoo.tiny = args.get_bool("tiny", false);
-  const auto trained =
-      which == "mnist" ? exp::mnist_tanh(zoo) : exp::cifar_relu(zoo);
-  const auto pool_size = static_cast<std::int64_t>(args.get_int("pool", 300));
-  const auto pool = which == "mnist" ? exp::digits_train(pool_size)
-                                     : exp::shapes_train(pool_size);
-  const auto qmodel = quant::QuantModel::quantize(
-      trained.model, pool.images, quant::QuantConfig{});
+  const ZooModel zoo = load_zoo_model(args);
+  const auto qmodel = zoo.quantize();
 
   fault::UniverseConfig config = fault::universe_config(fault_preset(args));
   config.max_faults = args.get_int("fault-budget", 2048);
   const auto universe = fault::FaultUniverse::enumerate(qmodel, config);
   fault::CollapseStats stats;
   const auto collapsed = fault::collapse_structural(universe, qmodel, &stats);
-  std::cout << trained.name << " fault universe [" << config.summary()
+  std::cout << zoo.trained.name << " fault universe [" << config.summary()
             << "]: " << stats.input << " enumerated, " << stats.kept
             << " kept (" << stats.dropped_noop << " no-op, "
             << stats.dropped_equivalent << " equivalent, "
@@ -216,30 +206,11 @@ int run_list_faults(const CliArgs& args) {
 }
 
 int run_analyze(const CliArgs& args) {
-  const std::string which = args.get_string("model", "cifar");
-  exp::ZooOptions zoo;
-  zoo.tiny = args.get_bool("tiny", false);
-  const auto trained =
-      which == "mnist" ? exp::mnist_tanh(zoo) : exp::cifar_relu(zoo);
-  const auto pool_size = static_cast<std::int64_t>(args.get_int("pool", 300));
-  const auto pool = which == "mnist" ? exp::digits_train(pool_size)
-                                     : exp::shapes_train(pool_size);
-  const auto qmodel = quant::QuantModel::quantize(
-      trained.model, pool.images, quant::QuantConfig{});
-
-  const std::string domain_name = args.get_string("domain", "affine");
-  const auto domain = analysis::range_domain(domain_name);
-  const bool calibrated = args.get_bool("calibrated", false);
-
-  analysis::RangeOptions ropts;
-  ropts.item_dims = trained.item_shape.dims();
-  const auto interval_range = analysis::analyze_ranges(qmodel, ropts);
-  const auto range =
-      domain == analysis::RangeDomain::kInterval
-          ? interval_range
-          : analysis::analyze_ranges_affine(qmodel, ropts);
-  std::cout << trained.name << " static range analysis ('" << domain_name
-            << "' domain)\n  " << qmodel.summary() << "\n";
+  const ZooModel zoo = load_zoo_model(args);
+  const auto qmodel = zoo.quantize();
+  const auto range = analysis::analyze_ranges(qmodel);
+  std::cout << zoo.trained.name << " static range analysis\n  "
+            << qmodel.summary() << "\n";
   const auto& layers = qmodel.layers();
   for (std::size_t li = 0; li < layers.size(); ++li) {
     const auto& lr = range.layers[li];
@@ -248,10 +219,6 @@ int run_analyze(const CliArgs& args) {
     analysis::Interval out = lr.out.front();
     std::size_t dead = 0;
     std::size_t overflow = 0;
-    // Summed per-channel hull widths under each domain — the relational
-    // domain's tightening shows up as a width ratio < 100%.
-    double width = 0.0;
-    double interval_width = 0.0;
     for (std::size_t c = 0; c < lr.acc.size(); ++c) {
       acc.lo = std::min(acc.lo, lr.acc[c].lo);
       acc.hi = std::max(acc.hi, lr.acc[c].hi);
@@ -259,20 +226,11 @@ int run_analyze(const CliArgs& args) {
       out.hi = std::max(out.hi, lr.out[c].hi);
       dead += lr.out[c] == analysis::Interval{0, 0} ? 1u : 0u;
       overflow += lr.overflow[c];
-      width += static_cast<double>(lr.acc[c].hi - lr.acc[c].lo);
-      interval_width += static_cast<double>(
-          interval_range.layers[li].acc[c].hi -
-          interval_range.layers[li].acc[c].lo);
     }
     std::cout << "  L" << li << " " << layers[li].name << ": acc [" << acc.lo
               << ", " << acc.hi << "], out [" << out.lo << ", " << out.hi
               << "], " << dead << "/" << lr.acc.size() << " dead, "
-              << overflow << " overflow-capable";
-    if (domain == analysis::RangeDomain::kAffine && interval_width > 0.0) {
-      std::cout << ", hull width " << format_percent(width / interval_width)
-                << " of interval";
-    }
-    std::cout << "\n";
+              << overflow << " overflow-capable\n";
   }
   std::cout << "channels: " << range.dead_channels << " dead, "
             << range.overflow_channels << " overflow-capable, "
@@ -294,33 +252,6 @@ int run_analyze(const CliArgs& args) {
             << "]: " << report.summary(universe.size()) << "\n";
   const auto dom = analysis::analyze_dominance(qmodel, range, universe);
   std::cout << "dominance: " << dom.summary(universe.size()) << "\n";
-
-  if (calibrated) {
-    // Conditioned pass: same domain, input hull tightened to the calibrated
-    // per-channel code domains. Conditionally masked faults are reported
-    // with excitation targets — never pruned.
-    analysis::RangeOptions copts = ropts;
-    copts.input_domains =
-        analysis::calibrated_input_domains(qmodel, pool.images);
-    const auto cal_range = analysis::analyze_ranges_with(domain, qmodel, copts);
-    const auto cond =
-        analysis::classify_conditional(qmodel, range, report, cal_range,
-                                       universe);
-    std::cout << "calibrated (" << copts.input_domains.size()
-              << " input-channel domains): " << cond.summary(universe.size())
-              << "\n";
-    const std::size_t show = std::min<std::size_t>(cond.excitations.size(), 5);
-    for (std::size_t i = 0; i < show; ++i) {
-      const auto& t = cond.excitations[i];
-      std::cout << "  excite fault #" << t.fault_id << ": L"
-                << static_cast<int>(t.layer) << " channel " << t.channel
-                << " acc into [" << t.acc.lo << ", " << t.acc.hi << "]\n";
-    }
-    if (cond.excitations.size() > show) {
-      std::cout << "  ... " << (cond.excitations.size() - show)
-                << " more excitation target(s)\n";
-    }
-  }
   return 0;
 }
 
@@ -560,8 +491,7 @@ int main(int argc, char** argv) {
                         "stream", "serve-tcp", "validate-tcp", "host", "port",
                         "max-connections", "idle-timeout", "preload",
                         "fault-universe", "fault-budget", "compact",
-                        "list-faults", "analyze", "lint", "domain",
-                        "calibrated"});
+                        "list-faults", "analyze", "lint"});
     if (args.get_bool("list", false)) {
       std::cout << "registered generation methods:\n";
       for (const auto& name : testgen::generator_names()) {

@@ -1,10 +1,8 @@
 #include "analysis/range_analysis.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
-#include "quant/observer.h"
 #include "quant/quantize.h"
 #include "util/error.h"
 
@@ -16,43 +14,7 @@ constexpr std::int64_t kI32Max = std::numeric_limits<std::int32_t>::max();
 
 std::int64_t sat32(std::int64_t v) { return std::clamp(v, kI32Min, kI32Max); }
 
-/// Quantize-layer output interval. The engine clamps every code into
-/// [-127, 127], so that is the unconditional answer; a declared float input
-/// domain tightens it through the exact rounding the engine uses.
-Interval quantize_interval(const quant::QLayer& q,
-                           const RangeOptions& options) {
-  Interval out{quant::kQmin, quant::kQmax};
-  if (!options.assume_input_domain) return out;
-  const double inv = 1.0 / (static_cast<double>(q.input_norm_scale) *
-                            static_cast<double>(q.out_scale));
-  const double a =
-      (static_cast<double>(options.input_lo) - q.input_mean) * inv;
-  const double b =
-      (static_cast<double>(options.input_hi) - q.input_mean) * inv;
-  const std::int64_t ca =
-      std::clamp<std::int64_t>(std::llround(std::min(a, b)),
-                               quant::kQmin, quant::kQmax);
-  const std::int64_t cb =
-      std::clamp<std::int64_t>(std::llround(std::max(a, b)),
-                               quant::kQmin, quant::kQmax);
-  return Interval{ca, cb};
-}
-
 }  // namespace
-
-const char* to_string(RangeDomain domain) {
-  switch (domain) {
-    case RangeDomain::kInterval: return "interval";
-    case RangeDomain::kAffine: return "affine";
-  }
-  return "?";
-}
-
-RangeDomain range_domain(const std::string& name) {
-  if (name == "interval") return RangeDomain::kInterval;
-  if (name == "affine") return RangeDomain::kAffine;
-  DNNV_THROW("unknown range domain '" << name << "' (interval|affine)");
-}
 
 Interval tap_interval(const quant::QLayer& q, const std::vector<Interval>& in,
                       std::int64_t tap) {
@@ -97,8 +59,7 @@ Interval lut_image(const std::array<std::int8_t, 256>& lut,
   return image;
 }
 
-ModelRange analyze_ranges(const quant::QuantModel& model,
-                          const RangeOptions& options) {
+ModelRange analyze_ranges(const quant::QuantModel& model) {
   const std::vector<quant::QLayer>& layers = model.layers();
   ModelRange mr;
   mr.layers.resize(layers.size());
@@ -115,20 +76,8 @@ ModelRange analyze_ranges(const quant::QuantModel& model,
 
     switch (q.kind) {
       case quant::QLayerKind::kQuantize:
-        if (!options.input_domains.empty()) {
-          // Calibration-conditioned per-channel domains; the engine still
-          // saturates into [kQmin, kQmax], so clamp each entry there.
-          cur.resize(options.input_domains.size());
-          for (std::size_t c = 0; c < cur.size(); ++c) {
-            const Interval& d = options.input_domains[c];
-            cur[c].lo = std::clamp<std::int64_t>(d.lo, quant::kQmin,
-                                                 quant::kQmax);
-            cur[c].hi = std::clamp<std::int64_t>(
-                std::max(d.lo, d.hi), quant::kQmin, quant::kQmax);
-          }
-        } else {
-          cur.assign(1, quantize_interval(q, options));
-        }
+        // The engine clamps every input code into [kQmin, kQmax].
+        cur.assign(1, Interval{quant::kQmin, quant::kQmax});
         lr.out = cur;
         break;
 
@@ -205,47 +154,6 @@ ModelRange analyze_ranges(const quant::QuantModel& model,
     }
   }
   return mr;
-}
-
-std::vector<Interval> calibrated_input_domains(
-    const quant::QuantModel& model, const std::vector<Tensor>& pool) {
-  if (pool.empty()) return {};
-  const std::vector<quant::QLayer>& layers = model.layers();
-  DNNV_CHECK(!layers.empty() &&
-                 layers.front().kind == quant::QLayerKind::kQuantize,
-             "calibrated_input_domains: model has no quantize layer");
-  const quant::QLayer& q = layers.front();
-
-  const Shape& shape = pool.front().shape();
-  const std::int64_t numel = shape.numel();
-  const std::int64_t channels = shape.ndim() > 1 ? shape[0] : numel;
-  DNNV_CHECK(channels > 0 && numel % channels == 0,
-             "calibrated_input_domains: item shape " << shape
-                                                     << " has no channel dim");
-  quant::RangeObserver observer(channels, numel / channels);
-  for (const Tensor& item : pool) {
-    DNNV_CHECK(item.numel() == numel,
-               "calibrated_input_domains: pool items disagree on shape");
-    observer.observe(item.data(), item.numel());
-  }
-
-  // Map the float extremes through the EXACT quantize rounding (monotone:
-  // input_norm_scale and out_scale are both positive).
-  const double inv = 1.0 / (static_cast<double>(q.input_norm_scale) *
-                            static_cast<double>(q.out_scale));
-  std::vector<Interval> domains(static_cast<std::size_t>(channels));
-  for (std::int64_t c = 0; c < channels; ++c) {
-    const double a =
-        (static_cast<double>(observer.min_of(c)) - q.input_mean) * inv;
-    const double b =
-        (static_cast<double>(observer.max_of(c)) - q.input_mean) * inv;
-    domains[static_cast<std::size_t>(c)] = Interval{
-        std::clamp<std::int64_t>(std::llround(std::min(a, b)), quant::kQmin,
-                                 quant::kQmax),
-        std::clamp<std::int64_t>(std::llround(std::max(a, b)), quant::kQmin,
-                                 quant::kQmax)};
-  }
-  return domains;
 }
 
 }  // namespace dnnv::analysis

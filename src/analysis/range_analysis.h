@@ -1,13 +1,13 @@
 // Interval range analysis over the executed QuantModel IR.
 //
-// An abstract-interpretation pass: starting from the input domain (by
-// default the unconditional one — the quantize layer saturates every input
-// to [-127, 127], so the analysis is sound for ANY float input, including
-// adversarial test vectors), per-channel intervals are propagated layer by
-// layer through qconv/qgemm accumulation, the saturating bias add, Q31
-// requantization and LUT activations, all with the engine's exact integer
-// semantics. The requant map is monotone in the accumulator, so interval
-// endpoints propagate EXACTLY — no widening beyond the conv-padding zero.
+// An abstract-interpretation pass: starting from the quantize layer's
+// saturated code domain [-127, 127] (so the analysis is sound for ANY float
+// input, including adversarial test vectors), per-channel intervals are
+// propagated layer by layer through qconv/qgemm accumulation, the saturating
+// bias add, Q31 requantization and LUT activations, all with the engine's
+// exact integer semantics. The requant map is monotone in the accumulator,
+// so interval endpoints propagate EXACTLY — no widening beyond the
+// conv-padding zero.
 //
 // The result answers, per channel, statically:
 //  - the reachable int8 output-code interval (dead channel == [0, 0]),
@@ -21,28 +21,14 @@
 #ifndef DNNV_ANALYSIS_RANGE_ANALYSIS_H_
 #define DNNV_ANALYSIS_RANGE_ANALYSIS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "quant/quant_model.h"
 
 namespace dnnv::analysis {
-
-/// Abstract domain the range pass runs under. kInterval is the PR 9
-/// per-channel interval pass; kAffine is the relational affine-form
-/// (zonotope) pass of analyze_ranges_affine — never wider than kInterval
-/// (every exported hull is met with the interval pass's).
-enum class RangeDomain : std::uint8_t {
-  kInterval = 0,
-  kAffine = 1,
-};
-
-const char* to_string(RangeDomain domain);
-
-/// Parses "interval" / "affine"; throws dnnv::Error on anything else.
-RangeDomain range_domain(const std::string& name);
 
 /// Closed integer interval [lo, hi].
 struct Interval {
@@ -78,31 +64,6 @@ struct LayerRange {
   std::vector<Interval> out;
 };
 
-struct RangeOptions {
-  /// When set, the float inputs are assumed to lie in [input_lo, input_hi]
-  /// and the quantize layer's output interval tightens accordingly. Leave
-  /// unset for the unconditional (adversarial-input-sound) domain.
-  bool assume_input_domain = false;
-  float input_lo = 0.0f;
-  float input_hi = 0.0f;
-
-  /// Calibration-conditioned domains: one QUANTIZE-OUTPUT code interval per
-  /// input channel (first dim of the item shape; every entry clamped into
-  /// [kQmin, kQmax] by the pass). Non-empty overrides assume_input_domain.
-  /// The resulting ModelRange is conditional — sound only for inputs whose
-  /// quantized codes stay inside these domains (e.g. in-distribution data
-  /// the domains were calibrated on), NOT for adversarial inputs. Producers:
-  /// calibrated_input_domains().
-  std::vector<Interval> input_domains;
-
-  /// Dims of one model input item (e.g. {C, H, W}). The IR does not carry
-  /// spatial extents, so the affine domain needs this to unroll conv
-  /// geometry; when empty, analyze_ranges_affine degrades to the interval
-  /// result on conv-front models (dense fronts derive it from in_features).
-  /// Ignored by the interval pass.
-  std::vector<std::int64_t> item_dims;
-};
-
 struct ModelRange {
   std::vector<LayerRange> layers;  ///< parallel to model.layers()
 
@@ -112,8 +73,7 @@ struct ModelRange {
 };
 
 /// Runs the interval pass over `model`. Deterministic; O(total weights).
-ModelRange analyze_ranges(const quant::QuantModel& model,
-                          const RangeOptions& options = {});
+ModelRange analyze_ranges(const quant::QuantModel& model);
 
 /// The code interval feeding tap `tap` (flat fanin index) of conv/dense
 /// layer `q`, given the layer's `in` vector. Conv taps are widened to
@@ -125,17 +85,6 @@ Interval tap_interval(const quant::QLayer& q, const std::vector<Interval>& in,
 /// int8 domain).
 Interval lut_image(const std::array<std::int8_t, 256>& lut,
                    const Interval& codes);
-
-/// Per-input-channel quantize-output code domains calibrated over `pool`
-/// (the vendor's representative data): per-channel signed float min/max via
-/// quant::RangeObserver, mapped through the exact rounding of the model's
-/// quantize layer (monotone — both scales are positive). Channels are the
-/// first dim of the pool items (rank-1 items: one domain per feature). Feed
-/// the result to RangeOptions::input_domains / QualifyOptions::input_domains
-/// — never use it to prune: it conditions the analysis on in-distribution
-/// inputs.
-std::vector<Interval> calibrated_input_domains(const quant::QuantModel& model,
-                                               const std::vector<Tensor>& pool);
 
 }  // namespace dnnv::analysis
 

@@ -213,105 +213,6 @@ UntestableReason classify_fault(const quant::QuantModel& model,
   return UntestableReason::kTestable;
 }
 
-/// Hull of biased-accumulator values on which `f`'s faulted model provably
-/// can disagree with the clean one, over the UNCONDITIONAL `range`. Sound
-/// over-approximations only (fail-open to the whole reachable interval) —
-/// this feeds excitation targeting, never pruning.
-Interval excitation_hull(const quant::QuantModel& model,
-                         const ModelRange& range, const fault::Fault& f) {
-  const quant::QLayer& q = model.layers()[f.layer];
-  if (q.kind != quant::QLayerKind::kConv2d &&
-      q.kind != quant::QLayerKind::kDense) {
-    return Interval{0, 0};
-  }
-  const LayerRange& lr = range.layers[f.layer];
-  const std::int64_t channel = fault_channel(q, f);
-  if (channel < 0 || channel >= static_cast<std::int64_t>(lr.acc.size())) {
-    return Interval{0, 0};
-  }
-  const std::size_t sc = static_cast<std::size_t>(channel);
-  const Interval T = lr.acc[sc];
-  if (q.dequant_output || lr.overflow[sc] != 0) return T;
-
-  if (fault::is_code_fault(f.kind)) {
-    Interval delta{0, 0};
-    if (f.is_bias != 0) {
-      const std::int8_t prev = q.bias_codes[static_cast<std::size_t>(f.unit)];
-      const std::int8_t next = fault::faulted_code(prev, f);
-      const std::int64_t d =
-          static_cast<std::int64_t>(quant::bias_code_to_i32(q, channel, next)) -
-          static_cast<std::int64_t>(q.bias_i32[sc]);
-      delta = Interval{std::min<std::int64_t>(d, 0),
-                       std::max<std::int64_t>(d, 0)};
-    } else {
-      const std::int8_t prev = q.weights[static_cast<std::size_t>(f.unit)];
-      const std::int8_t next = fault::faulted_code(prev, f);
-      const std::int64_t dw =
-          static_cast<std::int64_t>(next) - static_cast<std::int64_t>(prev);
-      const std::int64_t fanin = quant::weight_fanin(q);
-      const Interval x = tap_interval(q, lr.in, f.unit % fanin);
-      const std::int64_t d1 = dw * x.lo;
-      const std::int64_t d2 = dw * x.hi;
-      delta = Interval{std::min({d1, d2, std::int64_t{0}}),
-                       std::max({d1, d2, std::int64_t{0}})};
-    }
-    if (delta.lo == 0 && delta.hi == 0) return T;  // fail open
-    const quant::Requant rq = q.requant[sc];
-    const auto g_lo = [&](std::int64_t t) -> int {
-      return rq_of(t + delta.lo, rq);
-    };
-    const auto g_hi = [&](std::int64_t t) -> int {
-      return rq_of(t + delta.hi, rq);
-    };
-    const auto hull_opt = difference_hull(g_lo, g_hi, T.lo, T.hi);
-    return hull_opt ? *hull_opt : T;
-  }
-
-  if (f.kind == fault::FaultKind::kRequantMult) {
-    const quant::Requant rq1 = q.requant[sc];
-    quant::Requant rq2 = rq1;
-    rq2.multiplier = rq1.multiplier ^ (std::int32_t{1} << f.bit);
-    const auto f1 = [&](std::int64_t t) -> int { return rq_of(t, rq1); };
-    const auto f2 = [&](std::int64_t t) -> int { return rq_of(t, rq2); };
-    const auto hull_opt = difference_hull(f1, f2, T.lo, T.hi);
-    return hull_opt ? *hull_opt : T;
-  }
-
-  if (f.kind == fault::FaultKind::kAccStuckAt0 ||
-      f.kind == fault::FaultKind::kAccStuckAt1) {
-    // Excited exactly where bit `bit` of the saturated int32 accumulator
-    // differs from the stuck value. Shift into the monotone unsigned image
-    // k = a + 2^31 (bit b of k equals bit b of a for b < 31; the sign bit
-    // inverts), then clamp the outermost k with the wanted bit into range.
-    const bool stuck1 = f.kind == fault::FaultKind::kAccStuckAt1;
-    const Interval a{sat32(T.lo), sat32(T.hi)};
-    const std::int64_t two31 = std::int64_t{1} << 31;
-    const std::int64_t klo = a.lo + two31;
-    const std::int64_t khi = a.hi + two31;
-    const int bit = f.bit;
-    // Wanted value of bit `bit` of k: the accumulator bit must differ from
-    // the stuck value; the sign bit is inverted by the +2^31 shift.
-    const std::int64_t want =
-        (bit == 31) ? (stuck1 ? 1 : 0) : (stuck1 ? 0 : 1);
-    const std::int64_t lowmask = (std::int64_t{1} << bit) - 1;
-    const std::int64_t blockmask = (std::int64_t{1} << (bit + 1)) - 1;
-    std::int64_t kmin = klo;
-    if (((kmin >> bit) & 1) != want) {
-      kmin = want == 1 ? ((kmin | lowmask) + 1)  // next value with bit set
-                       : ((kmin | blockmask) + 1);  // clears [0, bit]
-    }
-    std::int64_t kmax = khi;
-    if (((kmax >> bit) & 1) != want) {
-      kmax = want == 1 ? ((kmax & ~blockmask) - 1)  // sets bits [0, bit]
-                       : ((kmax & ~blockmask) | lowmask);
-    }
-    if (kmin > khi || kmax < klo || kmin > kmax) return a;  // fail open
-    return Interval{kmin - two31, kmax - two31};
-  }
-
-  return T;
-}
-
 }  // namespace
 
 const char* to_string(UntestableReason reason) {
@@ -367,44 +268,6 @@ fault::FaultUniverse prune_untestable(const fault::FaultUniverse& universe,
     if (!report.is_untestable(i)) pruned.add(universe[i]);
   }
   return pruned;
-}
-
-std::string ConditionalReport::summary(std::size_t universe_size) const {
-  std::ostringstream os;
-  const double pct = universe_size == 0
-                         ? 0.0
-                         : 100.0 * static_cast<double>(count) /
-                               static_cast<double>(universe_size);
-  os << "conditionally masked " << count << "/" << universe_size << " ("
-     << std::fixed << std::setprecision(1) << pct << "%)";
-  return os.str();
-}
-
-ConditionalReport classify_conditional(const quant::QuantModel& model,
-                                       const ModelRange& uncond_range,
-                                       const TestabilityReport& unconditional,
-                                       const ModelRange& cal_range,
-                                       const fault::FaultUniverse& universe) {
-  ConditionalReport report;
-  report.conditional.assign(universe.size(), 0);
-  const TestabilityReport cal = classify_universe(model, cal_range, universe);
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    if (unconditional.is_untestable(i) || !cal.is_untestable(i)) continue;
-    report.conditional[i] = 1;
-    ++report.count;
-    const fault::Fault& f = universe[i];
-    const quant::QLayer& q = model.layers()[f.layer];
-    ExcitationTarget target;
-    target.fault_id = f.id();
-    target.layer = f.layer;
-    if (q.kind == quant::QLayerKind::kConv2d ||
-        q.kind == quant::QLayerKind::kDense) {
-      target.channel = fault_channel(q, f);
-    }
-    target.acc = excitation_hull(model, uncond_range, f);
-    report.excitations.push_back(target);
-  }
-  return report;
 }
 
 std::string DominanceReport::summary(std::size_t universe_size) const {

@@ -35,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,49 +83,6 @@ TestabilityReport classify_universe(const quant::QuantModel& model,
 fault::FaultUniverse prune_untestable(const fault::FaultUniverse& universe,
                                       const TestabilityReport& report);
 
-// ---- Calibration-conditioned (two-tier) classification ----
-
-/// Static excitation target of one conditionally-masked fault: a hull of
-/// SATURATED biased-accumulator values of its (layer, channel) on which the
-/// clean and faulted models provably CAN disagree, computed over the
-/// UNCONDITIONAL range. A test generator wanting to expose the fault should
-/// drive the channel's accumulator into `acc` — in-distribution inputs
-/// provably cannot reach it (that is what made the fault conditional).
-struct ExcitationTarget {
-  std::uint64_t fault_id = 0;
-  std::uint8_t layer = 0;
-  std::int64_t channel = -1;
-  Interval acc;
-};
-
-/// Two-tier result: faults testable under the unconditional range but
-/// provably masked under a calibration-conditioned range are CONDITIONALLY
-/// MASKED IN-DISTRIBUTION — still real, still detectable by an adversarial
-/// test vector, and therefore NEVER pruned. They are reported (count +
-/// per-fault excitation targets) so the vendor flow can surface them and
-/// targeted generation can chase them.
-struct ConditionalReport {
-  /// Parallel to the classified universe: 1 = conditionally masked.
-  std::vector<std::uint8_t> conditional;
-  std::size_t count = 0;
-  /// Exactly one entry per conditional fault, in universe order.
-  std::vector<ExcitationTarget> excitations;
-
-  /// "conditionally masked 12/512 (2.3%)" one-liner.
-  std::string summary(std::size_t universe_size) const;
-};
-
-/// Classifies `universe` two-tier: `unconditional` is the report over the
-/// adversarial-input-sound range, `calibrated` a range conditioned on
-/// RangeOptions::input_domains (same model, same domain choice). A fault is
-/// conditional iff the unconditional pass could not prove it untestable but
-/// the calibrated pass can. Excitation targets come from `uncond_range`.
-ConditionalReport classify_conditional(const quant::QuantModel& model,
-                                       const ModelRange& uncond_range,
-                                       const TestabilityReport& unconditional,
-                                       const ModelRange& cal_range,
-                                       const fault::FaultUniverse& universe);
-
 // ---- Static dominance (detection-implication collapse) ----
 
 /// Classical ATPG dominance over the universe: fault D is `dominated` by its
@@ -167,10 +123,9 @@ struct DominanceReport {
   std::string summary(std::size_t universe_size) const;
 };
 
-/// Proves dominance over `universe` against `range` (which must be an
-/// unconditional range over the same model — conditioning would make the
-/// proofs conditional too). Deterministic; faults matching no rule keep
-/// their own class.
+/// Proves dominance over `universe` against `range` (which must come from
+/// analyze_ranges over the same `model`). Deterministic; faults matching no
+/// rule keep their own class.
 DominanceReport analyze_dominance(const quant::QuantModel& model,
                                   const ModelRange& range,
                                   const fault::FaultUniverse& universe);
@@ -215,87 +170,6 @@ bool equal_on_interval(F&& f, G&& g, std::int64_t lo, std::int64_t hi) {
     a = b + 1;
   }
   return false;
-}
-
-/// Hull of {t in [lo, hi] : f(t) != g(t)} for two monotone nondecreasing
-/// int64 -> int8-code step functions. Returns std::nullopt when the
-/// functions are equal on the whole interval. Fails OPEN — the whole
-/// [lo, hi] — when either function is detected non-monotone or the segment
-/// walk exceeds its budget: the result is a sound over-approximation either
-/// way (used for excitation targeting, never for pruning). Exposed for
-/// tests.
-template <typename F, typename G>
-std::optional<Interval> difference_hull(F&& f, G&& g, std::int64_t lo,
-                                        std::int64_t hi) {
-  if (lo > hi) return std::nullopt;
-  if (f(lo) > f(hi) || g(lo) > g(hi)) return Interval{lo, hi};
-  std::int64_t dmin = hi + 1;
-  std::int64_t dmax = lo - 1;
-  std::int64_t a = lo;
-  for (int guard = 0; guard < 300; ++guard) {
-    const int v = f(a);
-    // Segment end b: largest x in [a, hi] with f(x) == v (f is monotone).
-    std::int64_t b = hi;
-    if (f(hi) != v) {
-      std::int64_t x_lo = a;
-      std::int64_t x_hi = hi;
-      while (x_lo + 1 < x_hi) {
-        const std::int64_t mid = x_lo + (x_hi - x_lo) / 2;
-        if (f(mid) == v) {
-          x_lo = mid;
-        } else {
-          x_hi = mid;
-        }
-      }
-      b = x_lo;
-    }
-    // Differences inside [a, b] where f == v throughout. g is monotone, so
-    // {x : g(x) == v} is contiguous; anything outside it differs.
-    const bool ga = g(a) == v;
-    const bool gb = g(b) == v;
-    if (!ga && !gb) {
-      // Any interior g == v band leaves differing points at both ends.
-      dmin = std::min(dmin, a);
-      dmax = std::max(dmax, b);
-    } else if (ga && !gb) {
-      // g(a) == v, g(b) != v: for x >= a, g(x) >= v, so g == v iff g <= v;
-      // bisect the largest x with g(x) <= v — differences are (x, b].
-      std::int64_t x_lo = a;
-      std::int64_t x_hi = b;
-      while (x_lo + 1 < x_hi) {
-        const std::int64_t mid = x_lo + (x_hi - x_lo) / 2;
-        if (g(mid) <= v) {
-          x_lo = mid;
-        } else {
-          x_hi = mid;
-        }
-      }
-      dmin = std::min(dmin, x_lo + 1);
-      dmax = std::max(dmax, b);
-    } else if (!ga && gb) {
-      // Mirror: g <= v up to b, so g == v iff g >= v; differences are
-      // [a, y) with y the smallest x with g(x) >= v.
-      std::int64_t x_lo = a;
-      std::int64_t x_hi = b;
-      while (x_lo + 1 < x_hi) {
-        const std::int64_t mid = x_lo + (x_hi - x_lo) / 2;
-        if (g(mid) >= v) {
-          x_hi = mid;
-        } else {
-          x_lo = mid;
-        }
-      }
-      dmin = std::min(dmin, a);
-      dmax = std::max(dmax, x_hi - 1);
-    }
-    // ga && gb: g is pinched to v on the whole segment — no differences.
-    if (b == hi) {
-      if (dmin > dmax) return std::nullopt;
-      return Interval{dmin, dmax};
-    }
-    a = b + 1;
-  }
-  return Interval{lo, hi};  // budget exceeded: fail open
 }
 
 }  // namespace dnnv::analysis

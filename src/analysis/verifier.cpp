@@ -390,31 +390,11 @@ std::vector<Finding> verify_deliverable(const pipeline::Deliverable& bundle) {
                " of ", m.fault_universe);
     }
   }
-  // Static-analysis provenance (manifest v4): the user side re-runs the
-  // vendor's classification from these fields, so they must be coherent.
-  if (m.analysis_domain != "interval" && m.analysis_domain != "affine") {
+  // Static-analysis provenance: the user side re-measures this count, so a
+  // negative one can only be corruption.
+  if (m.fault_dominated < 0) {
     sink.add(Severity::kError, "manifest-analysis", "manifest",
-             "unknown analysis domain '", m.analysis_domain,
-             "' (interval|affine)");
-  }
-  if (m.fault_dominated < 0 || m.fault_conditional < 0) {
-    sink.add(Severity::kError, "manifest-analysis", "manifest",
-             "negative static-analysis counts: dominated ", m.fault_dominated,
-             ", conditional ", m.fault_conditional);
-  }
-  if (static_cast<std::int64_t>(m.excitations.size()) != m.fault_conditional) {
-    sink.add(Severity::kError, "manifest-analysis", "manifest", "carries ",
-             m.excitations.size(), " excitation target(s) for ",
-             m.fault_conditional, " conditionally masked fault(s)");
-  }
-  for (const Interval& domain : m.input_domains) {
-    if (domain.lo > domain.hi || domain.lo < quant::kQmin ||
-        domain.hi > quant::kQmax) {
-      sink.add(Severity::kError, "manifest-analysis", "manifest",
-               "calibrated input domain [", domain.lo, ", ", domain.hi,
-               "] outside the symmetric int8 code grid");
-      break;
-    }
+             "negative dominated-fault count ", m.fault_dominated);
   }
   if (bundle.has_quant) {
     const int classes = bundle.qmodel.num_classes();

@@ -1,6 +1,5 @@
 #include "fault/qualify.h"
 
-#include "analysis/affine_domain.h"
 #include "analysis/range_analysis.h"
 #include "analysis/testability.h"
 
@@ -13,17 +12,11 @@ FaultQualification qualify_suite(const quant::QuantModel& model,
   FaultQualification q;
   FaultUniverse universe = FaultUniverse::enumerate(model, options.universe);
   q.enumerated = static_cast<std::int64_t>(universe.size());
-  const bool conditioned = !options.input_domains.empty();
-  analysis::ModelRange range;  // unconditional; all pruning proofs live here
-  if (options.static_prune || options.dominance || conditioned) {
-    analysis::RangeOptions ropts;
-    ropts.item_dims = options.item_dims;
-    range = analysis::analyze_ranges_with(options.domain, model, ropts);
-  }
+  const analysis::ModelRange range = analysis::analyze_ranges(model);
   if (options.static_prune) {
     // Static ATPG stage, BEFORE structural collapse: every enumerated fault
     // gets an untestability proof attempt (no-excitation, requant-masked,
-    // activation-masked over the UNCONDITIONAL range analysis), and the
+    // activation-masked over the interval range analysis), and the
     // proven ones never reach collapse or simulation. The structural pass
     // then only dedups equivalents among the possibly-testable remainder.
     const analysis::TestabilityReport report =
@@ -31,30 +24,13 @@ FaultQualification qualify_suite(const quant::QuantModel& model,
     universe = analysis::prune_untestable(universe, report);
     q.untestable = static_cast<std::int64_t>(report.untestable);
   }
-  if (options.dominance) {
-    // Dominance collapse: every dropped fault is provably detected whenever
-    // its kept representative is, so a suite covering the kept set covers
-    // the dropped faults too and the scored stats are a sound lower bound.
-    const analysis::DominanceReport dom =
-        analysis::analyze_dominance(model, range, universe);
-    universe = analysis::prune_dominated(universe, dom);
-    q.dominated = static_cast<std::int64_t>(dom.count);
-  }
-  if (conditioned) {
-    // Two-tier classification against the calibration-conditioned domains.
-    // Reporting only — conditionally masked faults stay in the scored set.
-    analysis::RangeOptions copts;
-    copts.item_dims = options.item_dims;
-    copts.input_domains = options.input_domains;
-    const analysis::ModelRange cal_range =
-        analysis::analyze_ranges_with(options.domain, model, copts);
-    const analysis::TestabilityReport uncond =
-        analysis::classify_universe(model, range, universe);
-    const analysis::ConditionalReport cond = analysis::classify_conditional(
-        model, range, uncond, cal_range, universe);
-    q.conditional = static_cast<std::int64_t>(cond.count);
-    q.excitations = cond.excitations;
-  }
+  // Dominance collapse: every dropped fault is provably detected whenever
+  // its kept representative is, so a suite covering the kept set covers the
+  // dropped faults too and the scored stats are a sound lower bound.
+  const analysis::DominanceReport dom =
+      analysis::analyze_dominance(model, range, universe);
+  universe = analysis::prune_dominated(universe, dom);
+  q.dominated = static_cast<std::int64_t>(dom.count);
   universe = collapse_structural(universe, model);
   q.collapsed = static_cast<std::int64_t>(universe.size());
   q.scored = static_cast<std::int64_t>(universe.size());

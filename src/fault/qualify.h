@@ -9,9 +9,7 @@
 #define DNNV_FAULT_QUALIFY_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "analysis/testability.h"
 #include "fault/collapse.h"
 #include "fault/compact.h"
 #include "fault/fault_model.h"
@@ -31,12 +29,6 @@ struct FaultQualification {
   std::int64_t core = 0;        ///< dominance core size
   std::int64_t kept_tests = 0;  ///< suite size after (optional) compaction
 
-  /// Faults testable in general but provably masked on the calibrated
-  /// in-distribution input domains. NEVER pruned — they stay in the scored
-  /// set; this is reporting plus one excitation target each.
-  std::int64_t conditional = 0;
-  std::vector<analysis::ExcitationTarget> excitations;
-
   double detection_rate() const {
     return scored > 0
                ? static_cast<double>(detected) / static_cast<double>(scored)
@@ -53,31 +45,16 @@ struct QualifyOptions {
   /// unchanged; both sides of the product flow prune deterministically, so
   /// vendor and user still score the identical fault list.
   bool static_prune = true;
-  /// Classical ATPG dominance collapse (analysis::analyze_dominance): drop
-  /// faults provably detected whenever their kept representative is —
-  /// bit-identical faulted models (requant-equality) or larger same-sign
-  /// logit shifts at the output layer. Rows of the kept faults are
-  /// untouched, and detection stats over the kept set are a sound lower
-  /// bound for the full universe. Deterministic on both sides of the
-  /// product flow.
-  bool dominance = true;
-  /// Abstract domain the static passes run under (affine is never wider
-  /// than interval, so it prunes at least as much).
-  analysis::RangeDomain domain = analysis::RangeDomain::kAffine;
-  /// Calibration-conditioned per-input-channel code domains (from
-  /// analysis::calibrated_input_domains). When non-empty, a second
-  /// conditioned pass classifies the conditionally-masked faults — counted
-  /// and given excitation targets, never pruned.
-  std::vector<analysis::Interval> input_domains;
-  /// Dims of one input item ({C, H, W}); lets the affine domain unroll conv
-  /// geometry. Empty is sound (degrades to the interval result there).
-  std::vector<std::int64_t> item_dims;
   ThreadPool* pool = nullptr;  ///< simulation fan-out; nullptr = shared
 };
 
-/// Scores `suite` against the structural universe of `model`. When
-/// options.compact is set and `compacted` non-null, also writes the
-/// greedily compacted suite (same detected-fault coverage, fewer tests).
+/// Scores `suite` against the structural universe of `model`. Before
+/// simulation, the classical ATPG dominance collapse
+/// (analysis::analyze_dominance) always drops faults provably detected
+/// whenever their kept representative is; detection stats over the kept set
+/// are a sound lower bound for the full universe. When options.compact is
+/// set and `compacted` non-null, also writes the greedily compacted suite
+/// (same detected-fault coverage, fewer tests).
 FaultQualification qualify_suite(const quant::QuantModel& model,
                                  const validate::TestSuite& suite,
                                  const QualifyOptions& options,

@@ -116,6 +116,11 @@ OpenRequest OpenRequest::decode(ByteReader& r) {
   m.config.chunk_size = static_cast<std::size_t>(r.read_u64());
   m.config.micro_batch = static_cast<std::size_t>(r.read_u64());
   const std::uint32_t faults = r.read_u32();
+  // Each fault is an 8-byte address plus a 1-byte bit: a count the payload
+  // cannot hold is rejected before it sizes an allocation.
+  DNNV_CHECK(faults <= r.remaining() / 9,
+             "open request claims " << faults << " faults in "
+                                    << r.remaining() << " payload bytes");
   m.config.faults.reserve(faults);
   for (std::uint32_t i = 0; i < faults; ++i) {
     validate::CodeFault fault;

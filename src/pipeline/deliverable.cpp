@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "analysis/range_analysis.h"
 #include "analysis/verifier.h"
 #include "util/error.h"
 #include "util/protected_file.h"
@@ -19,7 +18,9 @@ constexpr std::uint32_t kDeliverableMagic = 0x4C444E44;  // "DNDL"
 // v4: manifest carries the static-analysis provenance (abstract domain,
 // calibrated input domains, dominance-dropped count, conditionally-masked
 // fault count + per-fault excitation targets).
-constexpr std::uint32_t kDeliverableVersion = 4;
+// v5: one range analysis; the manifest keeps only the dominance-dropped
+// count. Older versions fail the version check.
+constexpr std::uint32_t kDeliverableVersion = 5;
 
 }  // namespace
 
@@ -35,22 +36,7 @@ void Manifest::save(ByteWriter& writer) const {
   fault_config.save(writer);
   writer.write_i64(fault_universe);
   writer.write_i64(fault_detected);
-  writer.write_string(analysis_domain);
-  writer.write_u64(input_domains.size());
-  for (const auto& domain : input_domains) {
-    writer.write_i64(domain.lo);
-    writer.write_i64(domain.hi);
-  }
   writer.write_i64(fault_dominated);
-  writer.write_i64(fault_conditional);
-  writer.write_u64(excitations.size());
-  for (const auto& target : excitations) {
-    writer.write_u64(target.fault_id);
-    writer.write_u8(target.layer);
-    writer.write_i64(target.channel);
-    writer.write_i64(target.acc.lo);
-    writer.write_i64(target.acc.hi);
-  }
 }
 
 Manifest Manifest::load(ByteReader& reader) {
@@ -66,22 +52,7 @@ Manifest Manifest::load(ByteReader& reader) {
   manifest.fault_config = fault::UniverseConfig::load(reader);
   manifest.fault_universe = reader.read_i64();
   manifest.fault_detected = reader.read_i64();
-  manifest.analysis_domain = reader.read_string();
-  manifest.input_domains.resize(reader.read_u64());
-  for (auto& domain : manifest.input_domains) {
-    domain.lo = reader.read_i64();
-    domain.hi = reader.read_i64();
-  }
   manifest.fault_dominated = reader.read_i64();
-  manifest.fault_conditional = reader.read_i64();
-  manifest.excitations.resize(reader.read_u64());
-  for (auto& target : manifest.excitations) {
-    target.fault_id = reader.read_u64();
-    target.layer = reader.read_u8();
-    target.channel = reader.read_i64();
-    target.acc.lo = reader.read_i64();
-    target.acc.hi = reader.read_i64();
-  }
   return manifest;
 }
 
@@ -98,9 +69,6 @@ std::string Manifest::summary() const {
                            : 0.0;
     os << ", detects " << std::fixed << std::setprecision(1) << rate * 100.0
        << "% of " << fault_universe << " '" << fault_model << "' faults";
-    if (fault_conditional > 0) {
-      os << " (" << fault_conditional << " conditionally masked in-dist)";
-    }
   }
   return os.str();
 }
@@ -189,16 +157,6 @@ fault::FaultQualification fault_coverage(const Deliverable& deliverable) {
              "fault coverage needs the shipped int8 artifact");
   fault::QualifyOptions options;
   options.universe = deliverable.manifest.fault_config;
-  // Mirror the vendor's static-analysis configuration exactly — same
-  // abstract domain, same calibrated conditioning, same conv geometry — so
-  // the user-side untestable/dominated/conditional counts and excitation
-  // targets reproduce the manifest's bit for bit.
-  options.domain =
-      analysis::range_domain(deliverable.manifest.analysis_domain);
-  options.input_domains = deliverable.manifest.input_domains;
-  if (!deliverable.suite.empty()) {
-    options.item_dims = deliverable.suite.inputs().front().shape().dims();
-  }
   return fault::qualify_suite(deliverable.qmodel, deliverable.suite, options);
 }
 

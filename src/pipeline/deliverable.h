@@ -12,9 +12,7 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "analysis/testability.h"
 #include "coverage/criterion.h"
 #include "fault/qualify.h"
 #include "nn/sequential.h"
@@ -48,21 +46,11 @@ struct Manifest {
   std::int64_t fault_universe = 0;  ///< collapsed universe size scored
   std::int64_t fault_detected = 0;  ///< faults the shipped suite detects
 
-  /// Static-analysis provenance (manifest v4). analysis_domain names the
-  /// abstract domain the vendor's static passes ran under ("interval" or
-  /// "affine"); input_domains are the calibration-conditioned per-input-
-  /// channel quantize-output code intervals (empty = unconditioned run).
-  /// Both ship so the user side re-runs the IDENTICAL classification —
-  /// domain, conditioning and all — without the vendor's pool, and
-  /// fault_coverage reproduces every count below exactly.
-  std::string analysis_domain = "affine";
-  std::vector<analysis::Interval> input_domains;
-  std::int64_t fault_dominated = 0;    ///< dropped for a dominating rep
-  /// Faults testable in general but provably masked on the calibrated
-  /// in-distribution domains. Never pruned — still scored; excitations
-  /// carries one accumulator target per such fault.
-  std::int64_t fault_conditional = 0;
-  std::vector<analysis::ExcitationTarget> excitations;
+  /// Static-analysis provenance (manifest v4, kept in v5): faults dropped
+  /// before simulation because a kept representative provably detects them.
+  /// The user side re-runs the same interval analysis, so fault_coverage
+  /// reproduces this count exactly.
+  std::int64_t fault_dominated = 0;
 
   void save(ByteWriter& writer) const;
   static Manifest load(ByteReader& reader);

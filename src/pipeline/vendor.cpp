@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "analysis/range_analysis.h"
 #include "analysis/verifier.h"
 #include "coverage/criterion.h"
 #include "quant/qconv.h"
@@ -30,7 +29,6 @@ VendorPipeline::VendorPipeline(VendorOptions options)
                "backend == \"int8\" (got '"
                    << options_.backend << "')");
     fault::universe_config(options_.fault_model);  // throws on unknown preset
-    analysis::range_domain(options_.analysis_domain);  // "interval"|"affine"
   } else {
     DNNV_CHECK(!options_.compact,
                "suite compaction needs a fault model to compact against "
@@ -125,24 +123,12 @@ Deliverable VendorPipeline::run(const nn::Sequential& model,
   // re-measures the same detection rate.
   fault::FaultQualification fault_stats;
   fault::UniverseConfig fault_config;
-  std::vector<analysis::Interval> input_domains;
   if (!options_.fault_model.empty()) {
     fault_config = fault::universe_config(options_.fault_model);
     fault_config.max_faults = options_.fault_budget;
     fault::QualifyOptions qualify_options;
     qualify_options.universe = fault_config;
     qualify_options.compact = options_.compact;
-    // Static passes run under the configured abstract domain with the conv
-    // geometry unrolled; when calibrated, a second conditioned pass
-    // classifies the in-distribution-masked faults (reported + excitation
-    // targets, never pruned).
-    qualify_options.domain = analysis::range_domain(options_.analysis_domain);
-    qualify_options.item_dims = item_shape.dims();
-    if (options_.calibrated) {
-      input_domains =
-          analysis::calibrated_input_domains(deliverable.qmodel, pool);
-      qualify_options.input_domains = input_domains;
-    }
     validate::TestSuite compacted;
     fault_stats = fault::qualify_suite(deliverable.qmodel, deliverable.suite,
                                        qualify_options, &compacted);
@@ -172,11 +158,7 @@ Deliverable VendorPipeline::run(const nn::Sequential& model,
   deliverable.manifest.fault_config = fault_config;
   deliverable.manifest.fault_universe = fault_stats.scored;
   deliverable.manifest.fault_detected = fault_stats.detected;
-  deliverable.manifest.analysis_domain = options_.analysis_domain;
-  deliverable.manifest.input_domains = std::move(input_domains);
   deliverable.manifest.fault_dominated = fault_stats.dominated;
-  deliverable.manifest.fault_conditional = fault_stats.conditional;
-  deliverable.manifest.excitations = fault_stats.excitations;
 
   // Ship gate: the exact bundle a user will load must verify clean
   // (manifest-vs-model agreement included).

@@ -45,16 +45,6 @@ struct VendorOptions {
   /// Deterministic even-thinning cap on the enumerated universe (0 = score
   /// every fault; large models get sampled, small models are exhaustive).
   std::int64_t fault_budget = 2048;
-  /// Abstract domain the fault-qualification static passes run under:
-  /// "affine" (relational, never wider — prunes at least as much) or
-  /// "interval". Recorded in the manifest so the user side classifies under
-  /// the identical domain.
-  std::string analysis_domain = "affine";
-  /// Condition a second classification pass on per-input-channel code
-  /// domains calibrated from the candidate pool: faults provably masked
-  /// in-distribution are counted and given excitation targets in the
-  /// manifest — never pruned. The calibrated domains ship in the manifest.
-  bool calibrated = true;
   /// Greedily compact the suite over the dominance core before shipping:
   /// fewer tests, identical detected-fault set (fault_model must be set).
   bool compact = false;

@@ -71,59 +71,6 @@ float PercentileObserver::amax() const {
   return range_;
 }
 
-RangeObserver::RangeObserver(std::int64_t channels,
-                             std::int64_t channel_stride)
-    : stride_(channel_stride),
-      min_(static_cast<std::size_t>(channels), 0.0f),
-      max_(static_cast<std::size_t>(channels), 0.0f) {
-  DNNV_CHECK(channels > 0 && channel_stride > 0,
-             "RangeObserver: need positive channels (" << channels
-                                                       << ") and stride ("
-                                                       << channel_stride
-                                                       << ")");
-}
-
-void RangeObserver::observe(const float* values, std::int64_t count) {
-  const std::int64_t channels = this->channels();
-  const std::int64_t item = channels * stride_;
-  DNNV_CHECK(count % item == 0, "RangeObserver: count "
-                                    << count << " is not a multiple of the "
-                                    << channels << "x" << stride_
-                                    << " item layout");
-  for (std::int64_t base = 0; base < count; base += item) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      const float* plane = values + base + c * stride_;
-      const std::size_t sc = static_cast<std::size_t>(c);
-      if (!seen_) {
-        // First item seeds each channel from its own first value, so the
-        // zero-initialized extremes never leak into the calibrated range.
-        min_[sc] = max_[sc] = plane[0];
-      }
-      for (std::int64_t i = 0; i < stride_; ++i) {
-        min_[sc] = std::min(min_[sc], plane[i]);
-        max_[sc] = std::max(max_[sc], plane[i]);
-      }
-    }
-    seen_ = true;
-  }
-}
-
-float RangeObserver::amax() const {
-  float a = 0.0f;
-  for (std::size_t c = 0; c < min_.size(); ++c) {
-    a = std::max({a, std::fabs(min_[c]), std::fabs(max_[c])});
-  }
-  return a;
-}
-
-float RangeObserver::min_of(std::int64_t c) const {
-  return min_[static_cast<std::size_t>(c)];
-}
-
-float RangeObserver::max_of(std::int64_t c) const {
-  return max_[static_cast<std::size_t>(c)];
-}
-
 std::unique_ptr<Observer> make_observer(const QuantConfig& config) {
   if (config.calibration == CalibrationMethod::kPercentile) {
     return std::make_unique<PercentileObserver>(config.percentile);

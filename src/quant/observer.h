@@ -56,36 +56,6 @@ class PercentileObserver : public Observer {
   std::uint64_t total_ = 0;
 };
 
-/// Per-channel SIGNED min/max over [channels, channel_stride]-shaped items —
-/// the calibration statistic behind analysis::calibrated_input_domains.
-/// Unlike the amax observers above it keeps the sign: input domains are not
-/// symmetric (images are often non-negative after normalization), and the
-/// range pass wants the one-sided truth. Each observe() call must deliver
-/// whole items (count a multiple of channels * channel_stride, values laid
-/// out channel-major like the engine's CHW items).
-class RangeObserver : public Observer {
- public:
-  RangeObserver(std::int64_t channels, std::int64_t channel_stride);
-
-  void observe(const float* values, std::int64_t count) override;
-
-  /// max |min|, |max| over all channels (the Observer contract).
-  float amax() const override;
-
-  std::int64_t channels() const {
-    return static_cast<std::int64_t>(min_.size());
-  }
-  /// Calibrated extremes of channel `c`; [0, 0] before any observation.
-  float min_of(std::int64_t c) const;
-  float max_of(std::int64_t c) const;
-
- private:
-  std::int64_t stride_ = 1;
-  bool seen_ = false;
-  std::vector<float> min_;
-  std::vector<float> max_;
-};
-
 /// Observer matching `config.calibration`.
 std::unique_ptr<Observer> make_observer(const QuantConfig& config);
 

@@ -26,10 +26,6 @@
 #include "testgen/combined_generator.h"
 #include "testgen/functional_test.h"
 
-namespace dnnv::analysis {
-struct ExcitationTarget;
-}
-
 namespace dnnv::testgen {
 
 /// Everything a generation run may consume, bundled. Pointees are borrowed:
@@ -63,12 +59,6 @@ struct GenContext {
   /// when null, methods that track coverage use a scratch one (the
   /// trajectory still lands in GenerationResult::coverage_after).
   cov::CoverageAccumulator* accumulator = nullptr;
-  /// Excitation targets for the conditionally-masked in-distribution faults
-  /// (analysis::classify_conditional): per-fault accumulator intervals a
-  /// test must drive a channel into to expose the fault. Advisory objective
-  /// hook for excitation-chasing methods; no built-in method consumes it
-  /// yet, and null is always valid.
-  const std::vector<analysis::ExcitationTarget>* excitation = nullptr;
 };
 
 /// One config for every method — a superset of the per-method option

@@ -1,22 +1,19 @@
 // src/analysis/ tests: interval range analysis soundness against traced
-// executions, the affine (zonotope) domain's enclosure-in-interval property,
-// the equal_on_interval / difference_hull step-function walks, static fault
+// executions, the equal_on_interval step-function walk, static fault
 // testability — including the load-bearing contracts that every statically
-// untestable fault is undetected by exhaustive fault simulation, every
-// dominated fault's detection row contains its representative's on the full
-// fault x test matrix, and conditionally-masked faults go undetected by
-// in-distribution inputs — and the IR verifier (model, bundle, and systolic
-// timing-model rules) against seeded corruptions.
+// untestable fault is undetected by exhaustive fault simulation and every
+// dominated fault's detection row contains its representative's on the
+// full fault x test matrix, plus the pinned full-universe counts of both
+// tiny zoo models — and the IR verifier (model, bundle, and systolic timing-
+// model rules) against seeded corruptions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "analysis/affine_domain.h"
 #include "analysis/range_analysis.h"
 #include "analysis/testability.h"
 #include "analysis/verifier.h"
@@ -27,7 +24,6 @@
 #include "ip/systolic.h"
 #include "nn/builder.h"
 #include "nn/workspace.h"
-#include "quant/observer.h"
 #include "quant/quant_model.h"
 #include "quant/quantize.h"
 #include "tensor/batch.h"
@@ -148,10 +144,8 @@ std::int64_t channel_of(std::int64_t idx,
 }
 
 void expect_trace_enclosed(quant::QuantModel& qmodel, const Tensor& batch,
-                           const std::string& tag,
-                           const analysis::ModelRange* given = nullptr) {
-  const analysis::ModelRange range =
-      given != nullptr ? *given : analysis::analyze_ranges(qmodel);
+                           const std::string& tag) {
+  const analysis::ModelRange range = analysis::analyze_ranges(qmodel);
   ASSERT_EQ(range.layers.size(), qmodel.layers().size()) << tag;
 
   nn::Workspace ws;
@@ -186,8 +180,8 @@ TEST(RangeAnalysisTest, IntervalsEncloseTracedExecutionSmallMlp) {
   Rng rng(77);
   std::vector<Tensor> inputs;
   for (int i = 0; i < 24; ++i) {
-    // Deliberately exceeds the calibration range: the unconditional domain
-    // must still enclose saturating inputs.
+    // Deliberately exceeds the calibration range: the analysis must still
+    // enclose saturating inputs.
     inputs.push_back(Tensor::rand_uniform(Shape{6}, rng, -3.0f, 3.0f));
   }
   expect_trace_enclosed(qmodel, stack_batch(inputs), "small-mlp");
@@ -321,6 +315,35 @@ TEST(TestabilityTest, QualifyDetectionUnchangedByStaticPrune) {
   EXPECT_EQ(pruned.classes, baseline.classes);
   EXPECT_EQ(pruned.core, baseline.core);
   EXPECT_LE(pruned.scored, baseline.scored);
+}
+
+TEST(TestabilityTest, FullUniverseCountsArePinned) {
+  // The static-analysis numbers of record: interval ranges, untestability
+  // and dominance over the whole "full" universe of both tiny zoo models,
+  // quantized on the 300-image pool the CLI uses. Any change to a proof
+  // rule or to the range pass that moves a count shows up here.
+  struct Pinned {
+    bool cifar;
+    std::size_t enumerated, untestable, dominated;
+  };
+  for (const Pinned& pin : {Pinned{false, 230716, 115152, 45468},
+                            Pinned{true, 598472, 298953, 117846}}) {
+    const auto trained = pin.cifar ? exp::cifar_relu(tiny_options())
+                                   : exp::mnist_tanh(tiny_options());
+    const auto pool =
+        pin.cifar ? exp::shapes_train(300) : exp::digits_train(300);
+    const auto qmodel = quant::QuantModel::quantize(trained.model, pool.images);
+    auto config = fault::universe_config("full");
+    config.max_faults = 0;
+    const auto universe = fault::FaultUniverse::enumerate(qmodel, config);
+    const auto range = analysis::analyze_ranges(qmodel);
+    const auto report = analysis::classify_universe(qmodel, range, universe);
+    const auto dom = analysis::analyze_dominance(
+        qmodel, range, analysis::prune_untestable(universe, report));
+    EXPECT_EQ(universe.size(), pin.enumerated) << trained.name;
+    EXPECT_EQ(report.untestable, pin.untestable) << trained.name;
+    EXPECT_EQ(dom.count, pin.dominated) << trained.name;
+  }
 }
 
 // ---------- IR verifier ----------
@@ -487,151 +510,6 @@ TEST(VerifierTest, SystolicCostBoundsGateEstimates) {
             1u);
 }
 
-// ---------- affine (zonotope) domain ----------
-
-/// Per-channel containment of `inner`'s acc/out hulls in `outer`'s.
-void expect_hulls_enclosed(const analysis::ModelRange& inner,
-                           const analysis::ModelRange& outer,
-                           const std::string& tag) {
-  ASSERT_EQ(inner.layers.size(), outer.layers.size()) << tag;
-  for (std::size_t li = 0; li < inner.layers.size(); ++li) {
-    const auto& in_layer = inner.layers[li];
-    const auto& out_layer = outer.layers[li];
-    ASSERT_EQ(in_layer.acc.size(), out_layer.acc.size()) << tag << " L" << li;
-    for (std::size_t c = 0; c < in_layer.acc.size(); ++c) {
-      EXPECT_GE(in_layer.acc[c].lo, out_layer.acc[c].lo)
-          << tag << " L" << li << " ch" << c;
-      EXPECT_LE(in_layer.acc[c].hi, out_layer.acc[c].hi)
-          << tag << " L" << li << " ch" << c;
-    }
-    ASSERT_EQ(in_layer.out.size(), out_layer.out.size()) << tag << " L" << li;
-    for (std::size_t c = 0; c < in_layer.out.size(); ++c) {
-      EXPECT_GE(in_layer.out[c].lo, out_layer.out[c].lo)
-          << tag << " L" << li << " ch" << c;
-      EXPECT_LE(in_layer.out[c].hi, out_layer.out[c].hi)
-          << tag << " L" << li << " ch" << c;
-    }
-  }
-}
-
-double total_acc_width(const analysis::ModelRange& range) {
-  double width = 0.0;
-  for (const auto& layer : range.layers) {
-    for (const auto& acc : layer.acc) {
-      width += static_cast<double>(acc.hi - acc.lo);
-    }
-  }
-  return width;
-}
-
-TEST(AffineDomainTest, HullsNeverWiderThanIntervalOnRandomModels) {
-  for (const std::uint64_t seed : {21u, 51u, 91u}) {
-    for (const auto act :
-         {nn::ActivationKind::kReLU, nn::ActivationKind::kTanh}) {
-      Rng rng(seed);
-      auto net = nn::build_mlp(6, {12, 10}, 4, act, rng);
-      Rng pool_rng(seed + 1);
-      std::vector<Tensor> pool;
-      for (int i = 0; i < 32; ++i) {
-        pool.push_back(Tensor::rand_uniform(Shape{6}, pool_rng, -1.0f, 1.0f));
-      }
-      auto qmodel = quant::QuantModel::quantize(net, pool);
-      analysis::RangeOptions options;
-      options.item_dims = {6};
-      const auto interval = analysis::analyze_ranges(qmodel, options);
-      const auto affine = analysis::analyze_ranges_affine(qmodel, options);
-      expect_hulls_enclosed(affine, interval,
-                            "mlp-seed" + std::to_string(seed));
-    }
-  }
-}
-
-TEST(AffineDomainTest, TightensAndStaysSoundOnZooModels) {
-  for (const bool use_cifar : {false, true}) {
-    const auto trained = use_cifar ? exp::cifar_relu(tiny_options())
-                                   : exp::mnist_tanh(tiny_options());
-    const auto pool = use_cifar ? exp::shapes_train(64) : exp::digits_train(64);
-    auto qmodel = quant::QuantModel::quantize(trained.model, pool.images);
-    analysis::RangeOptions options;
-    options.item_dims = trained.item_shape.dims();
-    const auto interval = analysis::analyze_ranges(qmodel, options);
-    const auto affine = analysis::analyze_ranges_affine(qmodel, options);
-    // Never wider anywhere...
-    expect_hulls_enclosed(affine, interval, trained.name);
-    // ...strictly tighter in aggregate (the relational terms must buy
-    // something on a real conv stack, not just tie the interval pass)...
-    EXPECT_LT(total_acc_width(affine), total_acc_width(interval))
-        << trained.name;
-    // ...and still an enclosure of real executions.
-    expect_trace_enclosed(qmodel, stack_batch(pool.images), trained.name,
-                          &affine);
-  }
-}
-
-TEST(AffineDomainTest, ConditionalFaultsAreMaskedInDistribution) {
-  // Quantize on a wide pool, calibrate the input domains on a much narrower
-  // one: faults excitable only by out-of-distribution codes become
-  // conditionally masked. tanh's saturating LUT is what plateaus.
-  Rng rng(21);
-  auto net = nn::build_mlp(6, {10}, 4, nn::ActivationKind::kTanh, rng);
-  Rng pool_rng(22);
-  std::vector<Tensor> pool;
-  std::vector<Tensor> narrow;
-  for (int i = 0; i < 32; ++i) {
-    auto t = Tensor::rand_uniform(Shape{6}, pool_rng, -1.0f, 1.0f);
-    Tensor s = Tensor::zeros(t.shape());
-    const float* src = t.data();
-    float* dst = s.data();
-    for (std::int64_t j = 0; j < s.numel(); ++j) dst[j] = src[j] * 0.05f;
-    pool.push_back(std::move(t));
-    narrow.push_back(std::move(s));
-  }
-  auto qmodel = quant::QuantModel::quantize(net, pool);
-  analysis::RangeOptions options;
-  options.item_dims = {6};
-  const auto range = analysis::analyze_ranges_affine(qmodel, options);
-  auto conditioned = options;
-  conditioned.input_domains =
-      analysis::calibrated_input_domains(qmodel, narrow);
-  const auto cal_range = analysis::analyze_ranges_affine(qmodel, conditioned);
-
-  const auto universe =
-      fault::FaultUniverse::enumerate(qmodel, fault::universe_config("full"));
-  const auto uncond = analysis::classify_universe(qmodel, range, universe);
-  const auto cond = analysis::classify_conditional(qmodel, range, uncond,
-                                                   cal_range, universe);
-  ASSERT_GT(cond.count, 0u);
-  ASSERT_EQ(cond.excitations.size(), cond.count);
-  fault::FaultUniverse masked;
-  for (std::size_t i = 0; i < universe.size(); ++i) {
-    if (cond.conditional[i] == 0) continue;
-    // Two-tier split is exclusive: a fault the unconditional pass already
-    // proved untestable is pruned, never "conditional".
-    EXPECT_FALSE(uncond.is_untestable(i)) << universe[i].describe();
-    masked.add(universe[i]);
-  }
-  for (const auto& target : cond.excitations) {
-    EXPECT_LE(target.acc.lo, target.acc.hi);
-  }
-
-  // Soundness of the conditioning: the narrow pool's codes lie inside the
-  // calibrated domains by construction, so exhaustive simulation of the
-  // conditionally-masked faults on those inputs must detect NOTHING.
-  const auto suite = validate::TestSuite::from_labels(
-      narrow, qmodel.predict_labels(stack_batch(narrow)));
-  fault::FaultSimulator sim(qmodel, suite);
-  fault::SimOptions sim_options;
-  sim_options.mode = fault::SimMode::kFullMatrix;
-  sim_options.backend = fault::SimBackend::kInt8;
-  const auto result = sim.run_batched(masked, sim_options);
-  EXPECT_EQ(result.detected, 0u);
-  for (std::size_t i = 0; i < result.rows.size(); ++i) {
-    EXPECT_TRUE(result.rows[i].none())
-        << "conditionally masked fault " << masked[i].describe()
-        << " detected by an in-distribution input";
-  }
-}
-
 // ---------- dominance vs the full fault x test matrix ----------
 
 TEST(TestabilityTest, DominatedDetectionImpliedOnFullMatrix) {
@@ -646,7 +524,7 @@ TEST(TestabilityTest, DominatedDetectionImpliedOnFullMatrix) {
 
   const auto universe =
       fault::FaultUniverse::enumerate(qmodel, fault::universe_config("full"));
-  const auto range = analysis::analyze_ranges_affine(qmodel);
+  const auto range = analysis::analyze_ranges(qmodel);
   const auto report = analysis::classify_universe(qmodel, range, universe);
   const auto pruned = analysis::prune_untestable(universe, report);
   const auto dom = analysis::analyze_dominance(qmodel, range, pruned);
@@ -671,60 +549,6 @@ TEST(TestabilityTest, DominatedDetectionImpliedOnFullMatrix) {
     ++checked;
   }
   EXPECT_EQ(checked, dom.count);
-}
-
-// ---------- difference_hull ----------
-
-TEST(DifferenceHullTest, MatchesBruteForceOnRequantCurves) {
-  quant::Requant rq1{1518500250, 38};
-  quant::Requant rq2 = rq1;
-  rq2.multiplier ^= 1 << 15;
-  const auto f1 = [&](std::int64_t t) -> int {
-    return quant::requantize(static_cast<std::int32_t>(t), rq1);
-  };
-  const auto f2 = [&](std::int64_t t) -> int {
-    return quant::requantize(static_cast<std::int32_t>(t), rq2);
-  };
-  for (const std::int64_t lo : {std::int64_t{-70000}, std::int64_t{-257},
-                                std::int64_t{0}, std::int64_t{40000}}) {
-    const std::int64_t hi = lo + 4096;
-    std::int64_t first = hi + 1;
-    std::int64_t last = lo - 1;
-    for (std::int64_t t = lo; t <= hi; ++t) {
-      if (f1(t) != f2(t)) {
-        first = std::min(first, t);
-        last = std::max(last, t);
-      }
-    }
-    const auto hull = analysis::difference_hull(f1, f2, lo, hi);
-    if (first > last) {
-      EXPECT_FALSE(hull.has_value()) << "[" << lo << ", " << hi << "]";
-    } else {
-      ASSERT_TRUE(hull.has_value()) << "[" << lo << ", " << hi << "]";
-      // Monotone step curves inside the segment budget: the walk is exact.
-      EXPECT_EQ(hull->lo, first) << "[" << lo << ", " << hi << "]";
-      EXPECT_EQ(hull->hi, last) << "[" << lo << ", " << hi << "]";
-    }
-  }
-  // Identical curves over an interval: no difference, no hull.
-  EXPECT_FALSE(analysis::difference_hull(f1, f1, -4096, 4096).has_value());
-  // Empty interval.
-  EXPECT_FALSE(analysis::difference_hull(f1, f2, 10, 5).has_value());
-}
-
-// ---------- RangeObserver ----------
-
-TEST(RangeObserverTest, TracksPerChannelSignedExtremes) {
-  quant::RangeObserver observer(2, 3);
-  const float item1[] = {0.5f, -1.0f, 0.25f, 2.0f, 0.0f, 1.0f};
-  const float item2[] = {-0.5f, 0.75f, 0.1f, -3.0f, 0.5f, 0.2f};
-  observer.observe(item1, 6);
-  observer.observe(item2, 6);
-  EXPECT_FLOAT_EQ(observer.min_of(0), -1.0f);
-  EXPECT_FLOAT_EQ(observer.max_of(0), 0.75f);
-  EXPECT_FLOAT_EQ(observer.min_of(1), -3.0f);
-  EXPECT_FLOAT_EQ(observer.max_of(1), 2.0f);
-  EXPECT_FLOAT_EQ(observer.amax(), 3.0f);  // largest magnitude, any channel
 }
 
 }  // namespace

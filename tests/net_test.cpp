@@ -5,11 +5,14 @@
 // sockets with a typed kBusy and promote parked ones when a slot frees;
 // idle eviction must drain delivered verdicts and say kBye(kIdleTimeout);
 // every protected-file corruption mode must cross the wire as its own
-// typed error code; per-connection backpressure must cap in-flight
+// typed error code (a v4 deliverable included); a hostile open frame must
+// fail to decode rather than size an allocation; per-connection
+// backpressure must cap in-flight
 // submits; and the service drain()/evict_unpinned() hooks the server
 // relies on must behave standalone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -320,10 +323,14 @@ TEST(NetErrorTest, CorruptionModesCrossTheWireAsTypedCodes) {
   write_file(path, bytes);
   expect_load_error(WireError::kBadMagic);
 
-  bytes = pristine;
-  bytes[4] ^= 0xFF;  // version
-  write_file(path, bytes);
-  expect_load_error(WireError::kBadVersion);
+  // A corrupted version field and a v4 deliverable (the manifest layout
+  // before v5, no longer read) are both typed version rejections.
+  for (const bool v4 : {false, true}) {
+    bytes = pristine;
+    bytes[4] = v4 ? 4 : bytes[4] ^ 0xFF;  // little-endian u32 version
+    write_file(path, bytes);
+    expect_load_error(WireError::kBadVersion);
+  }
 
   write_file(path, std::vector<std::uint8_t>(pristine.begin(),
                                              pristine.begin() + 10));
@@ -374,6 +381,31 @@ TEST(ProtectedFileTest, FaultFieldDispatchesWithoutMessageParsing) {
     EXPECT_STREQ(to_string(error.fault()), "bad-magic");
   }
   std::filesystem::remove(path);
+}
+
+// ---------- Hostile frame payloads ----------
+
+TEST(NetProtocolTest, OpenRequestRejectsFaultCountThePayloadCannotHold) {
+  net::OpenRequest request;
+  request.config.faults = {{17, 3}, {42, 0}};
+  ByteWriter w;
+  request.encode(w);
+  auto bytes = w.take();
+  {
+    // Exactly as many faults as the payload holds still decode.
+    ByteReader r(bytes);
+    const auto decoded = net::OpenRequest::decode(r);
+    ASSERT_EQ(decoded.config.faults.size(), 2u);
+    EXPECT_EQ(decoded.config.faults[1].address, 42u);
+    EXPECT_TRUE(r.exhausted());
+  }
+  // A 34-byte payload (no fault records) whose u32 count claims 2^32 - 1
+  // faults would size a ~64 GiB reservation: it must fail as a typed decode
+  // error, not std::bad_alloc.
+  bytes.resize(34);
+  std::fill(bytes.end() - 4, bytes.end(), std::uint8_t{0xFF});
+  ByteReader r(bytes);
+  EXPECT_THROW(net::OpenRequest::decode(r), Error);
 }
 
 // ---------- Per-connection backpressure ----------
