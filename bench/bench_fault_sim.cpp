@@ -14,11 +14,16 @@
 // metric. The surviving set is structurally collapsed and evenly thinned to
 // --fault-budget, then scored twice — run_sequential (one QuantizedIp,
 // ip::FaultInjector byte faults, full derived-state rebuild per fault) and
-// run_batched (one clean traced forward, O(layer) point faults, resume from
-// the fault site). The two fault×test matrices are REQUIRED to be
-// bit-identical (first_detected, clean labels and every row compared; any
-// mismatch is a hard failure, not a metric). The headline perf metric is
-// the batched/sequential speedup, gated by --min-speedup (default 3).
+// run_batched (one clean traced forward, then per fault only the faulted
+// channel's delta; a fault whose channel does not move stops there, the
+// others splice it into the next layer's input and resume from there). The
+// two fault×test matrices are REQUIRED to be bit-identical (first_detected,
+// clean labels and every row compared; any mismatch is a hard failure, not
+// a metric). The headline perf metric is the batched/sequential speedup,
+// gated by --min-speedup (default 3). Two exact work counts go with it:
+// replays_avoided_pct (scored faults resolved without a suffix resume) and
+// resumed_tests (test rows the resumes re-executed). Outside --quick,
+// full_sim_ms times run_batched on the whole collapsed universe, unthinned.
 //
 // The detection matrix then drives the dominance analysis + greedy suite
 // compaction, and the compacted suite's detected-fault set is verified
@@ -67,6 +72,9 @@ struct ModelRun {
   double seq_ms = 0.0;
   double batched_ms = 0.0;
   double speedup = 0.0;
+  double replays_avoided_pct = 0.0;
+  std::size_t resumed_tests = 0;
+  double full_sim_ms = 0.0;
   double detection_rate = 0.0;
   std::size_t core = 0;
   std::size_t kept_tests = 0;
@@ -192,8 +200,8 @@ int main(int argc, char** argv) {
                       : 100.0 *
                             static_cast<double>(report.untestable + dom.count) /
                             static_cast<double>(raw.size());
-      const auto universe =
-          thin_universe(fault::collapse_structural(kept, qmodel), budget);
+      const auto collapsed = fault::collapse_structural(kept, qmodel);
+      const auto universe = thin_universe(collapsed, budget);
       run.scored = universe.size();
 
       fault::FaultSimulator sim(qmodel, suite);
@@ -266,6 +274,22 @@ int main(int argc, char** argv) {
       }
       run.speedup = run.batched_ms > 0.0 ? run.seq_ms / run.batched_ms : 0.0;
       run.detection_rate = batched.detection_rate();
+      run.replays_avoided_pct =
+          run.scored == 0
+              ? 0.0
+              : 100.0 *
+                    static_cast<double>(run.scored - batched.resumed_faults) /
+                    static_cast<double>(run.scored);
+      run.resumed_tests = batched.resumed_tests;
+      if (!quick) {
+        const auto t0 = Clock::now();
+        const fault::SimResult whole = sim.run_batched(collapsed, sim_options);
+        run.full_sim_ms = ms_since(t0);
+        std::cout << run.name << ": full collapsed universe, "
+                  << collapsed.size() << " faults, " << whole.detected
+                  << " detected in " << format_double(run.full_sim_ms, 1)
+                  << " ms\n";
+      }
 
       // Dominance analysis + greedy compaction, with the contract checked:
       // the kept tests detect EXACTLY the faults the full suite detects.
@@ -304,11 +328,21 @@ int main(int argc, char** argv) {
                          "%", true});
       metrics.push_back(
           {run.name + "_pruned_sim_ms", run.batched_ms, "ms", false});
+      metrics.push_back({run.name + "_replays_avoided_pct",
+                         run.replays_avoided_pct, "%", true});
+      metrics.push_back({run.name + "_resumed_tests",
+                         static_cast<double>(run.resumed_tests), "count",
+                         false});
+      if (!quick) {
+        metrics.push_back(
+            {run.name + "_full_sim_ms", run.full_sim_ms, "ms", false});
+      }
     }
 
     TablePrinter table({"model", "faults (raw)", "static prune", "tests",
-                        "seq ms", "batched ms", "speedup", "detected", "core",
-                        "kept tests", "compact drop"});
+                        "seq ms", "batched ms", "speedup", "no resume",
+                        "resumed tests", "detected", "core", "kept tests",
+                        "compact drop"});
     for (const ModelRun& run : runs) {
       table.add_row({run.name,
                      std::to_string(run.scored) + " (" +
@@ -319,6 +353,8 @@ int main(int argc, char** argv) {
                      std::to_string(run.tests), format_double(run.seq_ms, 1),
                      format_double(run.batched_ms, 1),
                      format_double(run.speedup, 2) + "x",
+                     format_double(run.replays_avoided_pct, 1) + "%",
+                     std::to_string(run.resumed_tests),
                      format_percent(run.detection_rate),
                      std::to_string(run.core), std::to_string(run.kept_tests),
                      format_double(run.compact_drop_pct, 1) + "%"});

@@ -48,6 +48,22 @@ std::int32_t bias_code_to_i32(const QLayer& q, std::int64_t channel,
       std::numeric_limits<std::int32_t>::max()));
 }
 
+ChannelEpilogue channel_epilogue(const QLayer& q, std::int64_t channel) {
+  const auto c = static_cast<std::size_t>(channel);
+  ChannelEpilogue ep;
+  ep.bias = q.bias_i32[c];
+  if (q.acc_channel == channel) {
+    ep.acc_or = q.acc_or;
+    ep.acc_and = q.acc_and;
+  }
+  if (q.dequant_output) {
+    ep.dequant_scale = q.dequant_scales[c];
+  } else {
+    ep.requant = q.requant[c];
+  }
+  return ep;
+}
+
 namespace {
 
 constexpr std::uint32_t kQuantMagic = 0x384D5144;  // "DQM8"
@@ -55,16 +71,6 @@ constexpr std::uint32_t kQuantVersion = 1;
 /// Per-layer allowance for the float32 arithmetic of the reference forward
 /// (the bound compares exact integer execution against a float32 baseline).
 constexpr double kFloatSlack = 1e-5;
-
-/// int32 accumulator + int32 bias with saturation (hardware adders clamp,
-/// they do not wrap).
-std::int32_t sat_add(std::int32_t acc, std::int32_t bias) {
-  const std::int64_t sum =
-      static_cast<std::int64_t>(acc) + static_cast<std::int64_t>(bias);
-  return static_cast<std::int32_t>(
-      std::clamp<std::int64_t>(sum, std::numeric_limits<std::int32_t>::min(),
-                               std::numeric_limits<std::int32_t>::max()));
-}
 
 /// Quantizes one float weight tensor (+ bias vector) into a QLayer's codes.
 void quantize_params(QLayer& q, const Tensor& weights, const Tensor& bias,
@@ -472,6 +478,10 @@ const Tensor& QuantModel::forward_impl(
         const bool fused = qconv_path() == QConvPath::kFused;
         auto& acc = ws.i32_buffer(li, nn::kSlotScratch1,
                                   static_cast<std::size_t>(q.out_channels * plane));
+        if (trace) {
+          trace->entries[li].acc.resize(
+              static_cast<std::size_t>(n * q.out_channels * plane));
+        }
         auto& out =
             ws.i8_buffer(li, nn::kSlotOutput,
                          static_cast<std::size_t>(n * q.out_channels * plane));
@@ -508,24 +518,17 @@ const Tensor& QuantModel::forward_impl(
             qgemm(q.out_channels, plane, fanin, q.weights.data(), cols,
                   acc.data());
           }
-          std::int8_t* dst = out.data() + item * q.out_channels * plane;
+          const std::int64_t item_out = q.out_channels * plane;
+          if (trace) {
+            std::copy(acc.begin(), acc.begin() + item_out,
+                      trace->entries[li].acc.begin() + item * item_out);
+          }
+          std::int8_t* dst = out.data() + item * item_out;
           for (std::int64_t c = 0; c < q.out_channels; ++c) {
-            const std::int32_t bias = q.bias_i32[static_cast<std::size_t>(c)];
-            const Requant rq = q.requant[static_cast<std::size_t>(c)];
+            const ChannelEpilogue ep = channel_epilogue(q, c);
             const std::int32_t* acc_row = acc.data() + c * plane;
-            if (q.acc_channel == c) {
-              // Armed accumulator stuck-at: masks hit the biased
-              // accumulator before requant (channel-level branch — the
-              // clean path never takes it).
-              for (std::int64_t p = 0; p < plane; ++p) {
-                const std::int32_t a =
-                    (sat_add(acc_row[p], bias) | q.acc_or) & q.acc_and;
-                dst[c * plane + p] = requantize(a, rq);
-              }
-            } else {
-              for (std::int64_t p = 0; p < plane; ++p) {
-                dst[c * plane + p] = requantize(sat_add(acc_row[p], bias), rq);
-              }
+            for (std::int64_t p = 0; p < plane; ++p) {
+              dst[c * plane + p] = ep.code(acc_row[p]);
             }
           }
         }
@@ -539,65 +542,33 @@ const Tensor& QuantModel::forward_impl(
                                   static_cast<std::size_t>(n * q.out_features));
         qgemm(n, q.out_features, q.in_features, cur, q.weights_t.data(),
               acc.data());
-        // Armed accumulator fault: hoisted flag keeps the clean row loops
-        // untouched; the faulted variants mask the armed channel's biased
-        // accumulator before dequant/requant.
-        const bool acc_fault = q.acc_channel >= 0;
+        if (trace) {
+          trace->entries[li].acc.assign(acc.begin(),
+                                        acc.begin() + n * q.out_features);
+        }
+        const std::int64_t f_out = q.out_features;
         if (q.dequant_output) {
-          Tensor& out = ws.buffer(li, nn::kSlotOutput,
-                                  Shape{std::vector<std::int64_t>{
-                                      n, q.out_features}});
-          if (acc_fault) {
+          Tensor& out = ws.buffer(
+              li, nn::kSlotOutput, Shape{std::vector<std::int64_t>{n, f_out}});
+          for (std::int64_t c = 0; c < f_out; ++c) {
+            const ChannelEpilogue ep = channel_epilogue(q, c);
             for (std::int64_t row = 0; row < n; ++row) {
-              for (std::int64_t c = 0; c < q.out_features; ++c) {
-                std::int32_t a = sat_add(
-                    acc[static_cast<std::size_t>(row * q.out_features + c)],
-                    q.bias_i32[static_cast<std::size_t>(c)]);
-                if (c == q.acc_channel) a = (a | q.acc_or) & q.acc_and;
-                out[row * q.out_features + c] =
-                    static_cast<float>(a) *
-                    q.dequant_scales[static_cast<std::size_t>(c)];
-              }
-            }
-          } else {
-            for (std::int64_t row = 0; row < n; ++row) {
-              for (std::int64_t c = 0; c < q.out_features; ++c) {
-                const std::int32_t a = sat_add(
-                    acc[static_cast<std::size_t>(row * q.out_features + c)],
-                    q.bias_i32[static_cast<std::size_t>(c)]);
-                out[row * q.out_features + c] =
-                    static_cast<float>(a) *
-                    q.dequant_scales[static_cast<std::size_t>(c)];
-              }
+              out[row * f_out + c] =
+                  ep.logit(acc[static_cast<std::size_t>(row * f_out + c)]);
             }
           }
           logits = &out;
         } else {
           auto& out = ws.i8_buffer(li, nn::kSlotOutput,
-                                   static_cast<std::size_t>(n * q.out_features));
-          if (acc_fault) {
+                                   static_cast<std::size_t>(n * f_out));
+          for (std::int64_t c = 0; c < f_out; ++c) {
+            const ChannelEpilogue ep = channel_epilogue(q, c);
             for (std::int64_t row = 0; row < n; ++row) {
-              for (std::int64_t c = 0; c < q.out_features; ++c) {
-                const auto e =
-                    static_cast<std::size_t>(row * q.out_features + c);
-                std::int32_t a = sat_add(
-                    acc[e], q.bias_i32[static_cast<std::size_t>(c)]);
-                if (c == q.acc_channel) a = (a | q.acc_or) & q.acc_and;
-                out[e] = requantize(a, q.requant[static_cast<std::size_t>(c)]);
-              }
-            }
-          } else {
-            for (std::int64_t row = 0; row < n; ++row) {
-              for (std::int64_t c = 0; c < q.out_features; ++c) {
-                const auto e =
-                    static_cast<std::size_t>(row * q.out_features + c);
-                out[e] = requantize(
-                    sat_add(acc[e], q.bias_i32[static_cast<std::size_t>(c)]),
-                    q.requant[static_cast<std::size_t>(c)]);
-              }
+              const auto e = static_cast<std::size_t>(row * f_out + c);
+              out[e] = ep.code(acc[e]);
             }
           }
-          dims = {q.out_features};
+          dims = {f_out};
           cur = out.data();
         }
         break;

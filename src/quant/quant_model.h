@@ -11,7 +11,9 @@
 #ifndef DNNV_QUANT_QUANT_MODEL_H_
 #define DNNV_QUANT_QUANT_MODEL_H_
 
+#include <algorithm>
 #include <array>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,6 +116,43 @@ std::int64_t weight_fanin(const QLayer& q);
 std::int32_t bias_code_to_i32(const QLayer& q, std::int64_t channel,
                               std::int8_t code);
 
+/// int32 accumulator + int32 bias with saturation (hardware adders clamp,
+/// they do not wrap).
+inline std::int32_t sat_add(std::int32_t acc, std::int32_t bias) {
+  const std::int64_t sum =
+      static_cast<std::int64_t>(acc) + static_cast<std::int64_t>(bias);
+  return static_cast<std::int32_t>(
+      std::clamp<std::int64_t>(sum, std::numeric_limits<std::int32_t>::min(),
+                               std::numeric_limits<std::int32_t>::max()));
+}
+
+/// The MAC epilogue of one conv/dense output channel: saturating bias add,
+/// the armed accumulator stuck-at masks, then requantize (or, on the logit
+/// layer, dequantize). The engine runs every channel through it, and the
+/// differential fault simulator re-runs one faulted channel through it with
+/// patched fields, so the two share one definition of the arithmetic.
+struct ChannelEpilogue {
+  std::int32_t bias = 0;
+  std::int32_t acc_or = 0;
+  std::int32_t acc_and = -1;
+  Requant requant;            ///< requantizing layers
+  float dequant_scale = 1.0f; ///< logit layer
+
+  std::int32_t biased(std::int32_t acc) const {
+    return (sat_add(acc, bias) | acc_or) & acc_and;
+  }
+  std::int8_t code(std::int32_t acc) const {
+    return requantize(biased(acc), requant);
+  }
+  float logit(std::int32_t acc) const {
+    return static_cast<float>(biased(acc)) * dequant_scale;
+  }
+};
+
+/// Channel `channel`'s epilogue as layer `q` is configured now, armed
+/// accumulator fault included.
+ChannelEpilogue channel_epilogue(const QLayer& q, std::int64_t channel);
+
 /// The quantized model (value type; copies get a fresh workspace).
 class QuantModel {
  public:
@@ -145,21 +184,25 @@ class QuantModel {
   /// argmax labels for a batched input.
   std::vector<int> predict_labels(const Tensor& batch);
 
-  /// Cached per-layer inputs of one clean forward — the replay surface of
-  /// event-driven fault simulation. Entry li holds the int8 codes feeding
-  /// layer li (entry 0 is unused: layer 0 consumes the float input).
-  /// Pointers alias buffers inside the Workspace the trace was recorded
-  /// with; they stay valid until that workspace runs another forward.
+  /// Cached per-layer state of one clean forward — the replay surface of
+  /// differential fault simulation. Entry li holds the int8 codes feeding
+  /// layer li (entry 0 is unused: layer 0 consumes the float input) and,
+  /// for conv/dense layers, their clean pre-bias int32 accumulators.
+  /// `codes` aliases a buffer inside the Workspace the trace was recorded
+  /// with; it stays valid until that workspace runs another forward.
   struct ForwardTrace {
     struct Entry {
       const std::int8_t* codes = nullptr;  ///< [batch * item_numel] codes
       std::vector<std::int64_t> dims;      ///< per-item dims at layer entry
+      /// Conv: [batch, out_channels, out_h * out_w]; dense:
+      /// [batch, out_features]; empty for other layers.
+      std::vector<std::int32_t> acc;
     };
     std::int64_t batch = 0;
     std::vector<Entry> entries;
   };
 
-  /// forward() that also records the per-layer input trace into `trace`.
+  /// forward() that also records the per-layer trace into `trace`.
   const Tensor& forward_traced(const Tensor& input, nn::Workspace& ws,
                                ForwardTrace& trace);
 

@@ -50,6 +50,11 @@ class ThreadPool {
   /// (static partition), not one std::function per index — per-mask
   /// workloads with ~1e5 cheap indices measure the difference. Determinism:
   /// each index runs exactly once, so index-seeded work is schedule-invariant.
+  /// The chunks rebalance mildly uneven per-index costs, but an index space
+  /// sorted by cost class defeats them: all the costly indices land in one
+  /// chunk on one thread. Deal such work round-robin onto lanes and run
+  /// parallel_for over the lanes instead, as fault::FaultSimulator does
+  /// with its layer-sorted fault universe.
   ///
   /// Nested use is safe AND parallel (bounded work-splitting): the caller
   /// claims chunks from a shared atomic cursor itself while idle workers

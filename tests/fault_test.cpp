@@ -2,12 +2,16 @@
 // enumeration, structural + matrix collapsing, greedy suite compaction, the
 // O(layer) point-fault surface vs a full derived-state rebuild, and the
 // core contract of the batched simulator — bit-identity with the sequential
-// inject→predict→revert loop on both zoo models, float and int8 backends,
-// across thread counts, on universes that include no-op stuck-at faults.
+// inject→predict→revert loop and with the suffix-replay oracle below, on
+// both zoo models and on seeded random models, float and int8 backends,
+// every fault kind, full-matrix and early-exit, across thread counts, on
+// universes that include no-op stuck-at faults.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -19,7 +23,12 @@
 #include "fault/fault_model.h"
 #include "fault/qualify.h"
 #include "fault/simulator.h"
+#include "nn/activation_layer.h"
 #include "nn/builder.h"
+#include "nn/conv2d.h"
+#include "nn/dense.h"
+#include "nn/flatten.h"
+#include "nn/maxpool2d.h"
 #include "pipeline/user.h"
 #include "pipeline/vendor.h"
 #include "quant/quant_model.h"
@@ -119,6 +128,174 @@ void expect_same_result(const fault::SimResult& a, const fault::SimResult& b,
   ASSERT_EQ(a.rows.size(), b.rows.size()) << what;
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
     EXPECT_TRUE(a.rows[i] == b.rows[i]) << what << " row " << i;
+  }
+}
+
+/// Row-wise argmax, first maximum wins (predict_labels' tie-breaking).
+std::vector<int> argmax_rows(const Tensor& logits) {
+  const std::int64_t n = logits.shape()[0];
+  const std::int64_t k = logits.shape()[1];
+  std::vector<int> labels(static_cast<std::size_t>(n));
+  for (std::int64_t row = 0; row < n; ++row) {
+    const float* r = logits.data() + row * k;
+    int best = 0;
+    for (std::int64_t c = 1; c < k; ++c) {
+      if (r[c] > r[best]) best = static_cast<int>(c);
+    }
+    labels[static_cast<std::size_t>(row)] = best;
+  }
+  return labels;
+}
+
+/// The suffix-replay oracle: the int8 engine run_batched used before it
+/// became differential. Each fault is applied to a clone of the clean model
+/// through the point-fault surface, and every layer from the fault's own
+/// layer on is re-executed from one clean trace per test chunk (the whole
+/// suite in full-matrix mode; early-exit stops at the first detecting
+/// chunk). Faults fan out over the pool with one clone per worker.
+fault::SimResult suffix_replay_oracle(const quant::QuantModel& clean,
+                                      const validate::TestSuite& suite,
+                                      const fault::FaultUniverse& universe,
+                                      const fault::SimOptions& options) {
+  fault::SimResult result;
+  const std::vector<Tensor>& inputs = suite.inputs();
+  const auto n = static_cast<std::int64_t>(inputs.size());
+  const bool full = options.mode == fault::SimMode::kFullMatrix;
+  const std::int64_t chunk =
+      full ? n : std::clamp<std::int64_t>(options.chunk, 1, n);
+  result.num_tests = inputs.size();
+  result.first_detected.assign(universe.size(), -1);
+  if (full) result.rows.assign(universe.size(), DynamicBitset());
+
+  std::vector<std::int64_t> begins;
+  for (std::int64_t b = 0; b < n; b += chunk) begins.push_back(b);
+  quant::QuantModel tracer = clean;
+  std::vector<nn::Workspace> trace_ws(begins.size());
+  std::vector<quant::QuantModel::ForwardTrace> traces(begins.size());
+  for (std::size_t k = 0; k < begins.size(); ++k) {
+    const auto end = std::min(n, begins[k] + chunk);
+    const std::vector<Tensor> span(inputs.begin() + begins[k],
+                                   inputs.begin() + end);
+    const std::vector<int> labels =
+        argmax_rows(tracer.forward_traced(stack_batch(span), trace_ws[k],
+                                          traces[k]));
+    result.clean_labels.insert(result.clean_labels.end(), labels.begin(),
+                               labels.end());
+  }
+
+  struct Worker {
+    quant::QuantModel model;
+    nn::Workspace ws;
+  };
+  std::mutex mutex;
+  std::vector<std::unique_ptr<Worker>> free;
+  ThreadPool& pool = options.pool ? *options.pool : ThreadPool::shared();
+  pool.parallel_for(universe.size(), [&](std::size_t fi) {
+    std::unique_ptr<Worker> w;
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      if (!free.empty()) {
+        w = std::move(free.back());
+        free.pop_back();
+      }
+    }
+    if (!w) {
+      w = std::make_unique<Worker>();
+      w->model = clean;
+    }
+    const fault::Fault& f = universe[fi];
+    const fault::AppliedFault applied = fault::apply_fault(w->model, f);
+    DynamicBitset row(full ? result.num_tests : 0);
+    std::int64_t first = -1;
+    for (std::size_t k = 0;
+         !applied.noop && k < begins.size() && (full || first < 0); ++k) {
+      const std::vector<int> labels =
+          argmax_rows(w->model.forward_resume(traces[k], f.layer, w->ws));
+      for (std::size_t t = 0; t < labels.size(); ++t) {
+        const auto test = begins[k] + static_cast<std::int64_t>(t);
+        if (labels[t] == result.clean_labels[static_cast<std::size_t>(test)]) {
+          continue;
+        }
+        if (first < 0) first = test;
+        if (!full) break;
+        row.set(static_cast<std::size_t>(test));
+      }
+    }
+    fault::revert_fault(w->model, applied);
+    result.first_detected[fi] = first;
+    if (full) result.rows[fi] = std::move(row);
+    const std::lock_guard<std::mutex> lock(mutex);
+    free.push_back(std::move(w));
+  });
+  for (const std::int64_t first : result.first_detected) {
+    if (first >= 0) ++result.detected;
+  }
+  return result;
+}
+
+/// Explicit bit-flip and byte-write faults (no preset enumerates them) on
+/// `per_layer` evenly spaced weight and bias units of every conv/dense
+/// layer.
+std::vector<fault::Fault> flip_and_write_faults(const quant::QuantModel& qmodel,
+                                                std::int64_t per_layer) {
+  std::vector<fault::Fault> faults;
+  for (std::size_t li = 0; li < qmodel.layers().size(); ++li) {
+    const quant::QLayer& q = qmodel.layers()[li];
+    if (q.kind != quant::QLayerKind::kConv2d &&
+        q.kind != quant::QLayerKind::kDense) {
+      continue;
+    }
+    const auto layer = static_cast<std::uint8_t>(li);
+    const std::int64_t weights = static_cast<std::int64_t>(q.weights.size());
+    const std::int64_t biases = static_cast<std::int64_t>(q.bias_codes.size());
+    for (std::int64_t j = 0; j < per_layer; ++j) {
+      const auto bit = static_cast<std::uint8_t>((3 * j + 7) % 8);
+      const auto value = static_cast<std::uint8_t>(0x9D * (j + 1));
+      faults.push_back(make_fault(fault::FaultKind::kBitFlip, layer, false,
+                                  bit, j * weights / per_layer));
+      faults.push_back(make_fault(fault::FaultKind::kByteWrite, layer, false,
+                                  0, (2 * j + 1) * weights / (2 * per_layer),
+                                  value));
+      faults.push_back(make_fault(fault::FaultKind::kBitFlip, layer, true, bit,
+                                  j * biases / per_layer));
+      faults.push_back(make_fault(fault::FaultKind::kByteWrite, layer, true, 0,
+                                  j * biases / per_layer, value));
+    }
+  }
+  return faults;
+}
+
+/// Requires run_batched (int8) to reproduce the oracle bit for bit on
+/// `universe` at 1/4/16 threads, and run_sequential to reproduce it on
+/// `sequential_sample` (the serial loop is slow, so callers pass a thinned
+/// universe), both in full-matrix and early-exit mode.
+void expect_batched_matches_references(
+    const quant::QuantModel& qmodel, const validate::TestSuite& suite,
+    const fault::FaultUniverse& universe,
+    const fault::FaultUniverse& sequential_sample, const std::string& what) {
+  fault::FaultSimulator sim(qmodel, suite);
+  for (const fault::SimMode mode :
+       {fault::SimMode::kFullMatrix, fault::SimMode::kEarlyExit}) {
+    fault::SimOptions options;
+    options.mode = mode;
+    options.chunk = 3;
+    const std::string tag =
+        what + (mode == fault::SimMode::kFullMatrix ? "/full" : "/early");
+    const fault::SimResult oracle =
+        suffix_replay_oracle(qmodel, suite, universe, options);
+    if (!sequential_sample.empty()) {
+      expect_same_result(
+          sim.run_sequential(sequential_sample, options),
+          suffix_replay_oracle(qmodel, suite, sequential_sample, options),
+          tag + " sequential vs oracle");
+    }
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+      ThreadPool pool(threads);
+      options.pool = &pool;
+      expect_same_result(sim.run_batched(universe, options), oracle,
+                         tag + " x" + std::to_string(threads));
+    }
   }
 }
 
@@ -491,6 +668,26 @@ TEST(SimulatorTest, BatchedMatchesSequentialOnZooModels) {
     }
     ASSERT_GT(noops, 0u) << "universe carries no no-op faults";
 
+    // The int8 backend also faces every other kind: the requant and
+    // accumulator faults of the `full` preset and explicit bit-flip and
+    // byte-write faults on every parameter layer (`other_kinds`, checked
+    // against run_sequential too), plus an even sample of the whole preset
+    // (its stuck-at faults meet run_sequential in the loop below).
+    auto full_config = fault::universe_config("full");
+    full_config.weight_stuck_at = false;
+    full_config.bias_stuck_at = false;
+    full_config.max_faults = 24;
+    auto other_kinds = fault::FaultUniverse::enumerate(qmodel, full_config);
+    for (const fault::Fault& f : flip_and_write_faults(qmodel, 1)) {
+      other_kinds.add(f);
+    }
+    full_config = fault::universe_config("full");
+    full_config.max_faults = 48;
+    auto mixed = fault::FaultUniverse::enumerate(qmodel, full_config);
+    for (const fault::Fault& f : other_kinds.faults()) mixed.add(f);
+    expect_batched_matches_references(qmodel, suite, mixed, other_kinds,
+                                      trained.name + "/full-preset");
+
     fault::FaultSimulator sim(qmodel, suite);
     for (const fault::SimBackend backend :
          {fault::SimBackend::kInt8, fault::SimBackend::kFloat}) {
@@ -508,6 +705,137 @@ TEST(SimulatorTest, BatchedMatchesSequentialOnZooModels) {
         expect_same_result(seq, batched,
                            tag + " x" + std::to_string(threads));
       }
+    }
+  }
+}
+
+// The whole `full`-preset universe of both zoo models, unthinned and
+// unpruned, on a 50-test suite. The oracle needs minutes here, so the test
+// is opt-in:
+//   fault_test --gtest_also_run_disabled_tests --gtest_filter='*FullUniverse*'
+TEST(SimulatorTest, DISABLED_FullUniverseMatchesOracleOnZooModels) {
+  for (const bool use_cifar : {false, true}) {
+    const auto trained = use_cifar ? exp::cifar_relu(tiny_options())
+                                   : exp::mnist_tanh(tiny_options());
+    const auto pool =
+        use_cifar ? exp::shapes_train(80) : exp::digits_train(80);
+    auto qmodel = quant::QuantModel::quantize(trained.model, pool.images);
+    const std::vector<Tensor> inputs(pool.images.begin(),
+                                     pool.images.begin() + 50);
+    const auto suite = suite_from(qmodel, inputs);
+    auto universe = fault::FaultUniverse::enumerate(
+        qmodel, fault::universe_config("full"));
+    for (const fault::Fault& f : flip_and_write_faults(qmodel, 16)) {
+      universe.add(f);
+    }
+    expect_batched_matches_references(qmodel, suite, universe, {},
+                                      trained.name + "/whole universe");
+  }
+}
+
+// ---------- Seeded random-model differential harness ----------
+
+enum class Stack { kConvConv, kConvPoolDense, kDenseDense };
+
+/// A small random model of the given stack. Conv stacks take CHW inputs
+/// with odd channel counts; `stride`/`pad` set the first conv and the
+/// second conv gets the other combination, so seeds 0-1 of kConvConv and
+/// 0-3 of kConvPoolDense each reach stride 1/2 with pad 0/1.
+Sequential random_model(Stack stack, std::int64_t stride, std::int64_t pad,
+                        Rng& rng, Shape* item_shape) {
+  Sequential net;
+  auto conv = [&](std::int64_t in_c, std::int64_t out_c, std::int64_t k,
+                  std::int64_t s, std::int64_t p) {
+    nn::Conv2d::Config config;
+    config.in_channels = in_c;
+    config.out_channels = out_c;
+    config.kernel = k;
+    config.stride = s;
+    config.pad = p;
+    net.add(std::make_unique<nn::Conv2d>(config, rng));
+  };
+  auto act = [&](ActivationKind kind) {
+    net.add(std::make_unique<nn::ActivationLayer>(kind));
+  };
+  auto conv_out = [](std::int64_t size, std::int64_t k, std::int64_t s,
+                     std::int64_t p) { return (size + 2 * p - k) / s + 1; };
+  switch (stack) {
+    case Stack::kConvConv: {
+      *item_shape = Shape{3, 9, 9};
+      conv(3, 5, 3, stride, pad);
+      act(ActivationKind::kReLU);
+      const std::int64_t h1 = conv_out(9, 3, stride, pad);
+      const std::int64_t s2 = 3 - stride, p2 = 1 - pad;
+      conv(5, 3, 3, s2, p2);
+      act(ActivationKind::kTanh);
+      const std::int64_t h2 = conv_out(h1, 3, s2, p2);
+      net.add(std::make_unique<nn::Flatten>());
+      net.add(std::make_unique<nn::Dense>(3 * h2 * h2, 4, rng));
+      break;
+    }
+    case Stack::kConvPoolDense: {
+      *item_shape = Shape{1, 10, 10};
+      conv(1, 3, 3, stride, pad);
+      act(ActivationKind::kReLU);
+      const std::int64_t h1 = conv_out(10, 3, stride, pad);
+      net.add(std::make_unique<nn::MaxPool2d>(2, 2));
+      net.add(std::make_unique<nn::Flatten>());
+      net.add(std::make_unique<nn::Dense>(3 * (h1 / 2) * (h1 / 2), 7, rng));
+      act(ActivationKind::kReLU);
+      net.add(std::make_unique<nn::Dense>(7, 5, rng));
+      break;
+    }
+    case Stack::kDenseDense: {
+      *item_shape = Shape{9};
+      net.add(std::make_unique<nn::Dense>(9, 7, rng));
+      act(ActivationKind::kTanh);
+      net.add(std::make_unique<nn::Dense>(7, 5, rng));
+      act(ActivationKind::kReLU);
+      net.add(std::make_unique<nn::Dense>(5, 3, rng));
+      break;
+    }
+  }
+  return net;
+}
+
+TEST(SimulatorTest, DifferentialMatchesOracleOnRandomModels) {
+  const std::pair<Stack, std::uint64_t> cases[] = {
+      {Stack::kConvConv, 2}, {Stack::kConvPoolDense, 4},
+      {Stack::kDenseDense, 2}};
+  for (const auto& [stack, seeds] : cases) {
+    for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+      const std::int64_t stride = 1 + static_cast<std::int64_t>(seed & 1);
+      const std::int64_t pad = static_cast<std::int64_t>((seed >> 1) & 1);
+      Rng rng(1000 + 10 * seed + static_cast<std::uint64_t>(stack));
+      Shape item_shape;
+      const Sequential net = random_model(stack, stride, pad, rng, &item_shape);
+      std::vector<Tensor> inputs;
+      for (int i = 0; i < 12; ++i) {
+        inputs.push_back(Tensor::rand_uniform(item_shape, rng, -1.0f, 1.0f));
+      }
+      auto qmodel = quant::QuantModel::quantize(net, inputs);
+      const auto suite = suite_from(qmodel, inputs);
+
+      auto config = fault::universe_config("full");
+      auto universe = fault::FaultUniverse::enumerate(qmodel, config);
+      config.max_faults = 150;
+      auto sample = fault::FaultUniverse::enumerate(qmodel, config);
+      for (const fault::Fault& f : flip_and_write_faults(qmodel, 4)) {
+        universe.add(f);
+        sample.add(f);
+      }
+      const std::string what =
+          "stack " + std::to_string(static_cast<int>(stack)) + " seed " +
+          std::to_string(seed) + " stride " + std::to_string(stride) +
+          " pad " + std::to_string(pad);
+      fault::FaultSimulator sim(qmodel, suite);
+      const fault::SimResult full = sim.run_batched(universe, {});
+      EXPECT_GT(full.detected, 0u) << what << ": no fault detected";
+      EXPECT_GT(full.resumed_faults, 0u) << what << ": no fault resumed";
+      EXPECT_LT(full.resumed_faults, universe.size())
+          << what << ": no fault stopped early";
+      expect_batched_matches_references(qmodel, suite, universe, sample,
+                                        what);
     }
   }
 }
