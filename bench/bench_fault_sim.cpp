@@ -12,8 +12,9 @@
 //      fault (the implication contract).
 // static_prune_pct = (untestable + dominated) / raw is the headline static
 // metric. The surviving set is structurally collapsed and evenly thinned to
-// --fault-budget, then scored twice — run_sequential (one QuantizedIp,
-// ip::FaultInjector byte faults, full derived-state rebuild per fault) and
+// --fault-budget, then scored twice — run_sequential (the reference loop
+// in tests/fault_oracles.h: one QuantizedIp, ip::FaultInjector byte faults,
+// full derived-state rebuild per fault) and
 // run_batched (one clean traced forward, then per fault only the faulted
 // channel's delta; a fault whose channel does not move stops there, the
 // others splice it into the next layer's input and resume from there). The
@@ -51,6 +52,7 @@
 #include "quant/quantize.h"
 #include "tensor/batch.h"
 #include "testgen/generator.h"
+#include "tests/fault_oracles.h"
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/table.h"
@@ -205,7 +207,7 @@ int main(int argc, char** argv) {
       run.scored = universe.size();
 
       fault::FaultSimulator sim(qmodel, suite);
-      fault::SimOptions sim_options;  // full matrix, int8, shared pool
+      fault::SimOptions sim_options;  // full matrix, shared pool
 
       // Soundness cross-check, enforced like the bit-identity contract:
       // every statically pruned fault must be undetected when simulated.
@@ -263,7 +265,8 @@ int main(int argc, char** argv) {
       run.batched_ms = 1e300;
       for (int r = 0; r < reps; ++r) {
         auto t0 = Clock::now();
-        fault::SimResult s = sim.run_sequential(universe, sim_options);
+        fault::SimResult s =
+            fault_oracles::run_sequential(qmodel, suite, universe, sim_options);
         run.seq_ms = std::min(run.seq_ms, ms_since(t0));
         t0 = Clock::now();
         fault::SimResult b = sim.run_batched(universe, sim_options);

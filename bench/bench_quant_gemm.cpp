@@ -2,10 +2,10 @@
 //
 // Three axes per shape: micro-kernel (scalar vs AVX-512 VNNI when compiled
 // in), scheduling (serial vs tiled-parallel over the shared pool), and conv
-// path (two-pass im2col+qgemm vs the fused panel packer with pre-packed
-// weights). Square GEMMs anchor against the float blocked kernel and the
-// frozen seed kernel; the zoo conv shapes are the layers the vendor/user
-// pipelines actually spend their cycles in. Every timed variant is verified
+// path (two-pass im2col_s8+qgemm, called directly, vs the fused panel
+// packer with pre-packed weights that QuantModel runs). Square GEMMs anchor
+// against the float blocked kernel; the zoo conv shapes are the layers the
+// vendor/user pipelines actually spend their cycles in. Every timed variant is verified
 // (naive probes for GEMM, exact fused == two-pass for conv) — a throughput
 // number from a wrong kernel is worthless.
 //
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   std::vector<bench::BenchMetric> metrics;
   bool all_ok = true;
 
-  // ---- Square GEMM anchor: int8 vs float blocked vs frozen seed ----
+  // ---- Square GEMM anchor: int8 vs float blocked ----
   for (const std::int64_t n : sizes) {
     Rng rng(1);
     const Tensor fa = Tensor::randn(Shape{n, n}, rng);
@@ -145,22 +145,13 @@ int main(int argc, char** argv) {
     const auto qb = bench::random_int8_codes(n * n, rng);
     std::vector<std::int32_t> qc(static_cast<std::size_t>(n * n));
 
-    set_gemm_kernel(GemmKernel::kReference);
     Stopwatch timer;
     for (int r = 0; r < gemm_reps; ++r) {
       gemm(false, false, n, n, n, 1.0f, fa.data(), fb.data(), 0.0f, fc.data());
     }
-    const double seed_s = timer.elapsed_seconds();
-
-    set_gemm_kernel(GemmKernel::kBlocked);
-    timer.reset();
-    for (int r = 0; r < gemm_reps; ++r) {
-      gemm(false, false, n, n, n, 1.0f, fa.data(), fb.data(), 0.0f, fc.data());
-    }
     const double float_s = timer.elapsed_seconds();
-    std::cout << "gemm n=" << n << ": seed " << gops(n, n, n, seed_s, gemm_reps)
-              << " GFLOP/s, float blocked " << gops(n, n, n, float_s, gemm_reps)
-              << " GFLOP/s\n";
+    std::cout << "gemm n=" << n << ": float blocked "
+              << gops(n, n, n, float_s, gemm_reps) << " GFLOP/s\n";
 
     for (const auto kernel : available_kernels()) {
       quant::set_qgemm_kernel(kernel);

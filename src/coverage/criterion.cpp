@@ -39,19 +39,13 @@ CriterionConfig CriterionConfig::load(ByteReader& reader) {
   config.sections = static_cast<int>(reader.read_i64());
   config.top_k = static_cast<int>(reader.read_i64());
   // Count fields sit early in a deliverable payload, so a wrong key decodes
-  // them as garbage: bound them against the remaining bytes BEFORE the
-  // array read, or a 2^62-scale count overflows the byte-level bounds check
-  // and escapes as std::length_error instead of dnnv::Error.
-  const auto read_range = [&reader](const char* which) {
-    const std::uint64_t count = reader.read_u64();
-    DNNV_CHECK(count <= reader.remaining() / sizeof(float),
-               "criterion config " << which << " count " << count
-                                   << " exceeds the remaining "
-                                   << reader.remaining() << " bytes");
-    return reader.read_f32_array(static_cast<std::size_t>(count));
+  // them as garbage; read_f32_array bounds the count against the remaining
+  // bytes before allocating, so that fails with dnnv::Error.
+  const auto read_range = [&reader] {
+    return reader.read_f32_array(static_cast<std::size_t>(reader.read_u64()));
   };
-  config.range_low = read_range("range_low");
-  config.range_high = read_range("range_high");
+  config.range_low = read_range();
+  config.range_high = read_range();
   return config;
 }
 

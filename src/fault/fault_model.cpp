@@ -71,26 +71,6 @@ std::string Fault::describe() const {
   return os.str();
 }
 
-void Fault::save(ByteWriter& writer) const {
-  writer.write_u8(static_cast<std::uint8_t>(kind));
-  writer.write_u8(layer);
-  writer.write_u8(is_bias);
-  writer.write_u8(bit);
-  writer.write_u8(value);
-  writer.write_i64(unit);
-}
-
-Fault Fault::load(ByteReader& reader) {
-  Fault f;
-  f.kind = static_cast<FaultKind>(reader.read_u8());
-  f.layer = reader.read_u8();
-  f.is_bias = reader.read_u8();
-  f.bit = reader.read_u8();
-  f.value = reader.read_u8();
-  f.unit = reader.read_i64();
-  return f;
-}
-
 std::int8_t faulted_code(std::int8_t code, const Fault& fault) {
   const auto byte = static_cast<std::uint8_t>(code);
   const auto mask = static_cast<std::uint8_t>(1u << fault.bit);
@@ -202,7 +182,15 @@ UniverseConfig UniverseConfig::load(ByteReader& reader) {
   c.requant = reader.read_u8() != 0;
   c.accumulator = reader.read_u8() != 0;
   auto read_ints = [&reader] {
-    std::vector<int> v(reader.read_u64());
+    // Bound the count by the bytes left (8 per element) before allocating:
+    // a crafted manifest must fail with the typed error, not bad_alloc.
+    const std::uint64_t count = reader.read_u64();
+    DNNV_CHECK(count <= reader.remaining() / sizeof(std::int64_t),
+               "universe config: bit-list count " << count
+                                                 << " exceeds the remaining "
+                                                 << reader.remaining()
+                                                 << " bytes");
+    std::vector<int> v(static_cast<std::size_t>(count));
     for (int& b : v) b = static_cast<int>(reader.read_i64());
     return v;
   };
@@ -319,21 +307,6 @@ FaultUniverse FaultUniverse::enumerate(const quant::QuantModel& model,
           u.faults_[static_cast<std::size_t>(j * size / config.max_faults)]);
     }
     u.faults_ = std::move(kept);
-  }
-  return u;
-}
-
-void FaultUniverse::save(ByteWriter& writer) const {
-  writer.write_u64(faults_.size());
-  for (const Fault& f : faults_) f.save(writer);
-}
-
-FaultUniverse FaultUniverse::load(ByteReader& reader) {
-  FaultUniverse u;
-  const std::uint64_t count = reader.read_u64();
-  u.faults_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    u.faults_.push_back(Fault::load(reader));
   }
   return u;
 }

@@ -6,9 +6,10 @@
 // bias code bits, per-channel requant-multiplier corruption, accumulator
 // stuck-at in the MAC epilogue — plus an adapter for today's memory-level
 // ip::MemoryFault kinds. Universes are generated deterministically from a
-// QuantModel (same model + config => same fault list, same ids), serialize
-// into the Deliverable manifest, and are scored wholesale by
-// fault::FaultSimulator.
+// QuantModel (same model + config => same fault list, same ids): the
+// Deliverable manifest ships only the UniverseConfig and the user side
+// regenerates the universe from it. fault::FaultSimulator scores a universe
+// wholesale.
 #ifndef DNNV_FAULT_FAULT_MODEL_H_
 #define DNNV_FAULT_FAULT_MODEL_H_
 
@@ -54,9 +55,6 @@ struct Fault {
 
   /// "stuck-at-1 L3 conv1.weight[1204] bit7" style one-liner.
   std::string describe() const;
-
-  void save(ByteWriter& writer) const;
-  static Fault load(ByteReader& reader);
 
   friend bool operator==(const Fault&, const Fault&) = default;
 };
@@ -136,9 +134,6 @@ class FaultUniverse {
   std::size_t size() const { return faults_.size(); }
   bool empty() const { return faults_.empty(); }
   const Fault& operator[](std::size_t i) const { return faults_[i]; }
-
-  void save(ByteWriter& writer) const;
-  static FaultUniverse load(ByteReader& reader);
 
  private:
   std::vector<Fault> faults_;

@@ -1,13 +1,8 @@
 // Batched fault simulation: score a whole TestSuite against a whole
-// FaultUniverse in one sweep.
+// FaultUniverse in one sweep, on the int8 engine the IP executes.
 //
-// The sequential reference (run_sequential) is the literal historical loop:
-// one ip::QuantizedIp, inject a fault into its weight memory through
-// ip::FaultInjector, predict_all (which rebuilds ALL derived execution
-// state), revert, repeat — O(model) per fault before any inference runs.
-//
-// run_batched (int8) produces the bit-identical fault×test detection matrix
-// by differential fault simulation at channel granularity:
+// run_batched produces the fault×test detection matrix by differential
+// fault simulation at channel granularity:
 //   * Trace. ONE clean traced forward over the suite records every layer's
 //     int8 input and every conv/dense layer's pre-bias int32 accumulators.
 //   * Delta. A fault touches one output channel of one layer, so only that
@@ -36,8 +31,9 @@
 // On perfbench's qualify-full workload (both tiny zoo models, whole `full`
 // universe after static pruning, 251,768 scored faults, 50 tests each;
 // seed 1, 4-core AVX-512-VNNI host) simulation takes 4.0 s, against 24.7 s
-// for the apply-to-a-clone, resume-from-the-fault's-layer loop it replaced
-// (that loop is the oracle in tests/fault_test.cpp). 30% (mnist) and 52%
+// for the apply-to-a-clone, resume-from-the-fault's-layer loop it replaced.
+// That loop and the sequential inject→predict→revert loop are the oracles
+// in tests/fault_oracles.h. 30% (mnist) and 52%
 // (cifar) of the scored dense-layer faults stop early; the conv-layer
 // faults, under 2% of those scored, are the remaining cost.
 #ifndef DNNV_FAULT_SIMULATOR_H_
@@ -53,12 +49,6 @@
 
 namespace dnnv::fault {
 
-/// Which execution engine the faults are simulated on.
-enum class SimBackend : std::uint8_t {
-  kInt8 = 0,   ///< the integer engine (the artifact the IP executes)
-  kFloat = 1,  ///< dequantized float mirror (code faults only)
-};
-
 enum class SimMode : std::uint8_t {
   kFullMatrix = 0,  ///< complete fault×test detection matrix
   kEarlyExit = 1,   ///< stop each fault at its first detection
@@ -66,7 +56,6 @@ enum class SimMode : std::uint8_t {
 
 struct SimOptions {
   SimMode mode = SimMode::kFullMatrix;
-  SimBackend backend = SimBackend::kInt8;
   ThreadPool* pool = nullptr;  ///< fan-out pool; nullptr = ThreadPool::shared
   std::int64_t chunk = 16;     ///< early-exit: changed tests per resume
 };
@@ -87,9 +76,8 @@ struct SimResult {
   /// The clean device's labels on the suite (the detection reference).
   std::vector<int> clean_labels;
 
-  /// Work counts of the int8 run_batched (zero on the other paths): faults
-  /// that needed a suffix resume, and test rows those resumes re-executed.
-  /// Exact and thread-count-invariant.
+  /// Work counts of run_batched: faults that needed a suffix resume, and
+  /// test rows those resumes re-executed. Exact and thread-count-invariant.
   std::size_t resumed_faults = 0;
   std::size_t resumed_tests = 0;
 
@@ -114,19 +102,9 @@ class FaultSimulator {
   SimResult run_batched(const FaultUniverse& universe,
                         const SimOptions& options = {});
 
-  /// The sequential inject→predict→revert reference loop.
-  SimResult run_sequential(const FaultUniverse& universe,
-                           const SimOptions& options = {});
-
  private:
-  SimResult run_batched_int8(const FaultUniverse& universe,
-                             const SimOptions& options);
-  SimResult run_batched_float(const FaultUniverse& universe,
-                              const SimOptions& options);
-
   quant::QuantModel clean_;
   std::vector<Tensor> inputs_;
-  Shape item_shape_;
 };
 
 }  // namespace dnnv::fault

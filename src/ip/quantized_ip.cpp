@@ -32,10 +32,8 @@ QuantizedIp::QuantizedIp(const nn::Sequential& model, Shape item_shape)
 
 QuantizedIp::QuantizedIp(const nn::Sequential& model, Shape item_shape,
                          const std::vector<Tensor>& calibration,
-                         const quant::QuantConfig& config, QuantBackend backend)
-    : model_(model.clone()),
-      item_shape_(std::move(item_shape)),
-      backend_(backend) {
+                         const quant::QuantConfig& config)
+    : model_(model.clone()), item_shape_(std::move(item_shape)) {
   std::vector<std::int64_t> dims;
   dims.push_back(1);
   dims.insert(dims.end(), item_shape_.dims().begin(), item_shape_.dims().end());
@@ -45,19 +43,17 @@ QuantizedIp::QuantizedIp(const nn::Sequential& model, Shape item_shape,
 
   qmodel_ = quant::QuantModel::quantize(model_, calibration, config);
   build_memory();
-  // Swap the float mirror onto the dequantized weights (the kDequantFloat
-  // backend must execute the quantized parameters, not the originals).
+  // Swap the float mirror onto the dequantized weights (coverage and
+  // generation must see the quantized parameters, not the originals).
   refresh_quant_if_dirty();
   refresh_float_if_dirty();
 }
 
-QuantizedIp::QuantizedIp(quant::QuantModel shipped, Shape item_shape,
-                         QuantBackend backend)
+QuantizedIp::QuantizedIp(quant::QuantModel shipped, Shape item_shape)
     : model_(shipped.dequantized_reference()),
       qmodel_(std::move(shipped)),
       item_shape_(std::move(item_shape)),
-      num_classes_(qmodel_.num_classes()),
-      backend_(backend) {
+      num_classes_(qmodel_.num_classes()) {
   build_memory();
   // memory_ was just built FROM qmodel_'s codes and model_ IS their
   // dequantization — everything is already consistent, skip the refreshes
@@ -110,8 +106,8 @@ void QuantizedIp::refresh_quant_if_dirty() {
 
 void QuantizedIp::refresh_float_if_dirty() {
   if (!float_dirty_) return;
-  // Memory bytes -> dequantised float model (the kDequantFloat backend),
-  // each code scaled with its channel's scale.
+  // Memory bytes -> dequantised float mirror, each code scaled with its
+  // channel's scale.
   std::size_t address = 0;
   std::size_t tensor = 0;
   for (const auto& view : model_.param_views()) {
@@ -129,22 +125,14 @@ void QuantizedIp::refresh_float_if_dirty() {
 int QuantizedIp::predict(const Tensor& input) {
   DNNV_CHECK(input.shape() == item_shape_,
              "input shape " << input.shape() << " != IP input " << item_shape_);
-  if (backend_ == QuantBackend::kInt8) {
-    refresh_quant_if_dirty();
-    return qmodel_.predict_labels(stack_batch({input})).front();
-  }
-  refresh_float_if_dirty();
-  return model_.predict_label(input);
+  refresh_quant_if_dirty();
+  return qmodel_.predict_labels(stack_batch({input})).front();
 }
 
 std::vector<int> QuantizedIp::predict_all(const std::vector<Tensor>& inputs) {
   if (inputs.empty()) return {};
-  if (backend_ == QuantBackend::kInt8) {
-    refresh_quant_if_dirty();
-    return qmodel_.predict_labels(stack_batch(inputs));
-  }
-  refresh_float_if_dirty();
-  return model_.predict_labels(stack_batch(inputs));
+  refresh_quant_if_dirty();
+  return qmodel_.predict_labels(stack_batch(inputs));
 }
 
 std::uint8_t QuantizedIp::read_byte(std::size_t address) const {
@@ -201,7 +189,7 @@ std::unique_ptr<BlackBoxIp> QuantizedIp::clone_ip() {
   // The refreshed QuantModel carries the current memory contents (faults
   // included), so the clone replays exactly this device's behaviour.
   refresh_quant_if_dirty();
-  return std::make_unique<QuantizedIp>(qmodel_, item_shape_, backend_);
+  return std::make_unique<QuantizedIp>(qmodel_, item_shape_);
 }
 
 const quant::QuantModel& QuantizedIp::quant_model() {

@@ -7,9 +7,9 @@
 // byte buffer, fault injection (bit flips, stuck-at, byte writes) acts on
 // the BUFFER, and inference executes the codes on the quant:: integer
 // engine — int8 GEMMs, int32 accumulators, fixed-point requantisation —
-// the arithmetic a real IP performs. The pre-refactor behaviour
-// (dequantise to float, run the float engine) remains selectable as
-// QuantBackend::kDequantFloat for A/B comparisons.
+// the arithmetic a real IP performs. A float mirror of the same memory
+// (scale * int8 per parameter) is kept for the vendor-side coverage and
+// generation hooks; it never executes predictions.
 #ifndef DNNV_IP_QUANTIZED_IP_H_
 #define DNNV_IP_QUANTIZED_IP_H_
 
@@ -21,12 +21,6 @@
 #include "quant/quant_model.h"
 
 namespace dnnv::ip {
-
-/// Which engine executes the weight memory.
-enum class QuantBackend {
-  kInt8,         ///< quant::QuantModel integer engine (the default)
-  kDequantFloat  ///< dequantise codes to float, run the float engine
-};
 
 /// Quantisation parameters of one tensor in the weight memory. Weights may
 /// carry per-channel scales; `scale` keeps the per-tensor summary (the max
@@ -52,8 +46,7 @@ class QuantizedIp : public BlackBoxIp {
   /// Quantises with a caller-provided calibration pool and config.
   QuantizedIp(const nn::Sequential& model, Shape item_shape,
               const std::vector<Tensor>& calibration,
-              const quant::QuantConfig& config = {},
-              QuantBackend backend = QuantBackend::kInt8);
+              const quant::QuantConfig& config = {});
 
   /// Wraps an ALREADY-quantized artifact (e.g. loaded from a
   /// pipeline::Deliverable): the weight memory is initialised from the
@@ -62,20 +55,13 @@ class QuantizedIp : public BlackBoxIp {
   /// no pre-quantization float master here — the artifact is its own
   /// reference, so max_quantization_error() reads 0 until the memory is
   /// faulted (clone_ip() constructs through this path too).
-  QuantizedIp(quant::QuantModel shipped, Shape item_shape,
-              QuantBackend backend = QuantBackend::kInt8);
+  QuantizedIp(quant::QuantModel shipped, Shape item_shape);
 
   int predict(const Tensor& input) override;
   std::vector<int> predict_all(const std::vector<Tensor>& inputs) override;
   std::unique_ptr<BlackBoxIp> clone_ip() override;
   Shape input_shape() const override { return item_shape_; }
   int num_classes() const override { return num_classes_; }
-
-  QuantBackend backend() const { return backend_; }
-  void set_backend(QuantBackend backend) {
-    backend_ = backend;
-    invalidate_replicas();
-  }
 
   // ---- Memory / fault-injection surface ----
 
@@ -113,8 +99,8 @@ class QuantizedIp : public BlackBoxIp {
   nn::Sequential& reference_model();
 
  private:
-  // The two backends refresh independently so fault-injection sweeps under
-  // the default int8 backend never pay for the float mirror.
+  // The engine and the float mirror refresh independently, so
+  // fault-injection sweeps never pay for the mirror.
   void refresh_quant_if_dirty();
   void refresh_float_if_dirty();
 
@@ -123,12 +109,11 @@ class QuantizedIp : public BlackBoxIp {
   /// dirty flags — each constructor decides what still needs refreshing.
   void build_memory();
 
-  nn::Sequential model_;                 // dequantised float-backend model
-  quant::QuantModel qmodel_;             // int8-backend executable
+  nn::Sequential model_;                 // dequantised float mirror
+  quant::QuantModel qmodel_;             // the int8 executable
   std::vector<float> original_params_;   // pre-quantisation float snapshot
   Shape item_shape_;
   int num_classes_ = 0;
-  QuantBackend backend_ = QuantBackend::kInt8;
   std::vector<std::uint8_t> memory_;     // int8 two's complement per param
   std::vector<QuantTensorInfo> table_;
   bool quant_dirty_ = true;

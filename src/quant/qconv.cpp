@@ -1,7 +1,6 @@
 #include "quant/qconv.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "quant/qgemm_panels.h"
 #include "quant/qops.h"
@@ -12,8 +11,6 @@ namespace dnnv::quant {
 namespace {
 
 using namespace detail;
-
-std::atomic<QConvPath> g_conv_path{QConvPath::kFused};
 
 // Same threshold as the qgemm driver: tile parallelism only past ~1M MACs.
 constexpr std::int64_t kParallelMinWork = std::int64_t{1} << 20;
@@ -156,18 +153,6 @@ void qconv2d_fused(const QConvShape& shape, const PackedConvWeights& weights,
   }
 #endif
   qconv_fused_impl<false>(shape, weights, image, acc, scratch, options);
-}
-
-void set_qconv_path(QConvPath path) {
-  g_conv_path.store(path, std::memory_order_relaxed);
-}
-
-QConvPath qconv_path() {
-  return g_conv_path.load(std::memory_order_relaxed);
-}
-
-const char* qconv_path_name() {
-  return qconv_path() == QConvPath::kFused ? "fused" : "two-pass";
 }
 
 }  // namespace dnnv::quant

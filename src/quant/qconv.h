@@ -1,10 +1,11 @@
-// Fused int8 convolution: im2col rows are generated on the fly and packed
-// panel-by-panel straight into the GEMM packing buffer, so the full column
-// matrix of the two-pass path (im2col_s8 -> qgemm) never materializes, and
-// the conv weights are pre-packed once into micro-kernel panels instead of
-// per call. Bit-identical to the two-pass path by construction (same exact
-// int32 arithmetic, same panel kernels); the two-pass path stays compiled-in
-// for A/B benches and identity tests, selectable via set_qconv_path().
+// Fused int8 convolution, the engine's only conv path: im2col rows are
+// generated on the fly and packed panel-by-panel straight into the GEMM
+// packing buffer, so the full column matrix of the two-pass formulation
+// (im2col_s8 -> qgemm) never materializes, and the conv weights are
+// pre-packed once into micro-kernel panels instead of per call.
+// Bit-identical to im2col_s8 + qgemm by construction (same exact int32
+// arithmetic, same panel kernels); tests and bench_quant_gemm call those two
+// directly as the reference.
 #ifndef DNNV_QUANT_QCONV_H_
 #define DNNV_QUANT_QCONV_H_
 
@@ -85,14 +86,6 @@ void qconv2d_fused(const QConvShape& shape, const PackedConvWeights& weights,
                    const std::int8_t* image, std::int32_t* acc,
                    const QConvScratch& scratch,
                    const QGemmOptions& options = {});
-
-/// Conv execution path selector (process-wide; default kFused). The
-/// two-pass path is kept compiled-in for A/B comparisons and identity tests.
-enum class QConvPath : std::uint8_t { kFused = 0, kTwoPass = 1 };
-
-void set_qconv_path(QConvPath path);
-QConvPath qconv_path();
-const char* qconv_path_name();  ///< "fused" or "two-pass"
 
 }  // namespace dnnv::quant
 

@@ -475,7 +475,6 @@ const Tensor& QuantModel::forward_impl(
         const std::int64_t in_numel = item_numel();
         const QConvShape shape{q.in_channels, h,        w, q.out_channels,
                                q.kernel,      q.stride, q.pad};
-        const bool fused = qconv_path() == QConvPath::kFused;
         auto& acc = ws.i32_buffer(li, nn::kSlotScratch1,
                                   static_cast<std::size_t>(q.out_channels * plane));
         if (trace) {
@@ -485,39 +484,24 @@ const Tensor& QuantModel::forward_impl(
         auto& out =
             ws.i8_buffer(li, nn::kSlotOutput,
                          static_cast<std::size_t>(n * q.out_channels * plane));
-        // All scratch is Workspace-arena backed — resized in place, so a
-        // warmed-up forward allocates nothing on either path.
-        QConvScratch scratch;
-        std::int8_t* cols = nullptr;
-        if (fused) {
-          if (!q.wpack.matches(shape)) {
-            // Kernel switched since refresh_derived(): re-pack for the
-            // active panel layout.
-            q.wpack = pack_conv_weights(q.out_channels, fanin,
-                                        q.weights.data());
-          }
-          const QConvScratchSizes sizes = qconv_scratch_sizes(shape);
-          scratch.b_pack =
-              ws.i8_buffer(li, nn::kSlotScratch0, sizes.b_pack).data();
-          scratch.rowbuf =
-              ws.i8_buffer(li, nn::kSlotScratch2, sizes.rowbuf).data();
-          scratch.colsum =
-              ws.i32_buffer(li, nn::kSlotScratch2, sizes.colsum).data();
-        } else {
-          cols = ws.i8_buffer(li, nn::kSlotScratch0,
-                              static_cast<std::size_t>(fanin * plane))
-                     .data();
+        if (!q.wpack.matches(shape)) {
+          // Kernel switched since refresh_derived(): re-pack for the active
+          // panel layout.
+          q.wpack = pack_conv_weights(q.out_channels, fanin, q.weights.data());
         }
+        // All scratch is Workspace-arena backed — resized in place, so a
+        // warmed-up forward allocates nothing.
+        const QConvScratchSizes sizes = qconv_scratch_sizes(shape);
+        QConvScratch scratch;
+        scratch.b_pack =
+            ws.i8_buffer(li, nn::kSlotScratch0, sizes.b_pack).data();
+        scratch.rowbuf =
+            ws.i8_buffer(li, nn::kSlotScratch2, sizes.rowbuf).data();
+        scratch.colsum =
+            ws.i32_buffer(li, nn::kSlotScratch2, sizes.colsum).data();
         for (std::int64_t item = 0; item < n; ++item) {
-          if (fused) {
-            qconv2d_fused(shape, q.wpack, cur + item * in_numel, acc.data(),
-                          scratch);
-          } else {
-            im2col_s8(cur + item * in_numel, q.in_channels, h, w, q.kernel,
-                      q.kernel, q.stride, q.pad, cols);
-            qgemm(q.out_channels, plane, fanin, q.weights.data(), cols,
-                  acc.data());
-          }
+          qconv2d_fused(shape, q.wpack, cur + item * in_numel, acc.data(),
+                        scratch);
           const std::int64_t item_out = q.out_channels * plane;
           if (trace) {
             std::copy(acc.begin(), acc.begin() + item_out,

@@ -40,9 +40,12 @@ void ByteWriter::write_u64_array(const std::uint64_t* data, std::size_t n) {
 ByteReader::ByteReader(std::vector<std::uint8_t> bytes)
     : bytes_(std::move(bytes)) {}
 
-void ByteReader::require(std::size_t n) const {
-  DNNV_CHECK(pos_ + n <= bytes_.size(),
-             "byte stream underrun: need " << n << " at offset " << pos_
+void ByteReader::require(std::size_t n, std::size_t elem_size) const {
+  // Compared against remaining() / elem_size, never as pos_ + n * elem_size
+  // <= size(): a hostile length near 2^64 would wrap that sum and pass.
+  DNNV_CHECK(n <= remaining() / elem_size,
+             "byte stream underrun: need " << n << " x " << elem_size
+                                           << " bytes at offset " << pos_
                                            << ", have " << bytes_.size());
 }
 
@@ -100,7 +103,7 @@ std::string ByteReader::read_string() {
 }
 
 std::vector<float> ByteReader::read_f32_array(std::size_t n) {
-  require(n * sizeof(float));
+  require(n, sizeof(float));
   std::vector<float> v(n);
   if (n != 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(float));
   pos_ += n * sizeof(float);
@@ -116,7 +119,7 @@ std::vector<std::uint8_t> ByteReader::read_bytes(std::size_t n) {
 }
 
 std::vector<std::uint64_t> ByteReader::read_u64_array(std::size_t n) {
-  require(n * sizeof(std::uint64_t));
+  require(n, sizeof(std::uint64_t));
   std::vector<std::uint64_t> v(n);
   if (n != 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(std::uint64_t));
   pos_ += n * sizeof(std::uint64_t);

@@ -50,7 +50,8 @@ class ByteReader {
   bool exhausted() const { return remaining() == 0; }
 
  private:
-  void require(std::size_t n) const;
+  /// Throws unless n elements of elem_size bytes remain (overflow-safe).
+  void require(std::size_t n, std::size_t elem_size = 1) const;
 
   std::vector<std::uint8_t> bytes_;
   std::size_t pos_ = 0;

@@ -244,7 +244,6 @@ TEST(TestabilityTest, PrunedFaultsAreUndetectedByExhaustiveSimulation) {
     fault::FaultSimulator sim(qmodel, suite);
     fault::SimOptions options;
     options.mode = fault::SimMode::kFullMatrix;
-    options.backend = fault::SimBackend::kInt8;
     const fault::SimResult result = sim.run_batched(pruned, options);
     EXPECT_EQ(result.detected, 0u) << trained.name;
     ASSERT_EQ(result.rows.size(), pruned.size()) << trained.name;
@@ -536,7 +535,6 @@ TEST(TestabilityTest, DominatedDetectionImpliedOnFullMatrix) {
   fault::FaultSimulator sim(qmodel, suite);
   fault::SimOptions sim_options;
   sim_options.mode = fault::SimMode::kFullMatrix;
-  sim_options.backend = fault::SimBackend::kInt8;
   const auto result = sim.run_batched(pruned, sim_options);
   ASSERT_EQ(result.rows.size(), pruned.size());
   std::size_t checked = 0;

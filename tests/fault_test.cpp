@@ -1,17 +1,17 @@
-// src/fault/ tests: fault identity/serialization, deterministic universe
-// enumeration, structural + matrix collapsing, greedy suite compaction, the
-// O(layer) point-fault surface vs a full derived-state rebuild, and the
-// core contract of the batched simulator — bit-identity with the sequential
-// inject→predict→revert loop and with the suffix-replay oracle below, on
-// both zoo models and on seeded random models, float and int8 backends,
+// src/fault/ tests: fault identity, deterministic universe enumeration,
+// structural + matrix collapsing, greedy suite compaction, the O(layer)
+// point-fault surface vs a full derived-state rebuild, and the core contract
+// of the batched simulator — bit-identity with the sequential
+// inject→predict→revert loop and with the suffix-replay oracle (both in
+// tests/fault_oracles.h), on both zoo models and on seeded random models,
 // every fault kind, full-matrix and early-exit, across thread counts, on
 // universes that include no-op stuck-at faults.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -33,6 +33,7 @@
 #include "pipeline/vendor.h"
 #include "quant/quant_model.h"
 #include "tensor/batch.h"
+#include "tests/fault_oracles.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 #include "validate/test_suite.h"
@@ -40,6 +41,8 @@
 namespace dnnv {
 namespace {
 
+using fault_oracles::run_sequential;
+using fault_oracles::suffix_replay_oracle;
 using nn::ActivationKind;
 using nn::Sequential;
 
@@ -131,108 +134,6 @@ void expect_same_result(const fault::SimResult& a, const fault::SimResult& b,
   }
 }
 
-/// Row-wise argmax, first maximum wins (predict_labels' tie-breaking).
-std::vector<int> argmax_rows(const Tensor& logits) {
-  const std::int64_t n = logits.shape()[0];
-  const std::int64_t k = logits.shape()[1];
-  std::vector<int> labels(static_cast<std::size_t>(n));
-  for (std::int64_t row = 0; row < n; ++row) {
-    const float* r = logits.data() + row * k;
-    int best = 0;
-    for (std::int64_t c = 1; c < k; ++c) {
-      if (r[c] > r[best]) best = static_cast<int>(c);
-    }
-    labels[static_cast<std::size_t>(row)] = best;
-  }
-  return labels;
-}
-
-/// The suffix-replay oracle: the int8 engine run_batched used before it
-/// became differential. Each fault is applied to a clone of the clean model
-/// through the point-fault surface, and every layer from the fault's own
-/// layer on is re-executed from one clean trace per test chunk (the whole
-/// suite in full-matrix mode; early-exit stops at the first detecting
-/// chunk). Faults fan out over the pool with one clone per worker.
-fault::SimResult suffix_replay_oracle(const quant::QuantModel& clean,
-                                      const validate::TestSuite& suite,
-                                      const fault::FaultUniverse& universe,
-                                      const fault::SimOptions& options) {
-  fault::SimResult result;
-  const std::vector<Tensor>& inputs = suite.inputs();
-  const auto n = static_cast<std::int64_t>(inputs.size());
-  const bool full = options.mode == fault::SimMode::kFullMatrix;
-  const std::int64_t chunk =
-      full ? n : std::clamp<std::int64_t>(options.chunk, 1, n);
-  result.num_tests = inputs.size();
-  result.first_detected.assign(universe.size(), -1);
-  if (full) result.rows.assign(universe.size(), DynamicBitset());
-
-  std::vector<std::int64_t> begins;
-  for (std::int64_t b = 0; b < n; b += chunk) begins.push_back(b);
-  quant::QuantModel tracer = clean;
-  std::vector<nn::Workspace> trace_ws(begins.size());
-  std::vector<quant::QuantModel::ForwardTrace> traces(begins.size());
-  for (std::size_t k = 0; k < begins.size(); ++k) {
-    const auto end = std::min(n, begins[k] + chunk);
-    const std::vector<Tensor> span(inputs.begin() + begins[k],
-                                   inputs.begin() + end);
-    const std::vector<int> labels =
-        argmax_rows(tracer.forward_traced(stack_batch(span), trace_ws[k],
-                                          traces[k]));
-    result.clean_labels.insert(result.clean_labels.end(), labels.begin(),
-                               labels.end());
-  }
-
-  struct Worker {
-    quant::QuantModel model;
-    nn::Workspace ws;
-  };
-  std::mutex mutex;
-  std::vector<std::unique_ptr<Worker>> free;
-  ThreadPool& pool = options.pool ? *options.pool : ThreadPool::shared();
-  pool.parallel_for(universe.size(), [&](std::size_t fi) {
-    std::unique_ptr<Worker> w;
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      if (!free.empty()) {
-        w = std::move(free.back());
-        free.pop_back();
-      }
-    }
-    if (!w) {
-      w = std::make_unique<Worker>();
-      w->model = clean;
-    }
-    const fault::Fault& f = universe[fi];
-    const fault::AppliedFault applied = fault::apply_fault(w->model, f);
-    DynamicBitset row(full ? result.num_tests : 0);
-    std::int64_t first = -1;
-    for (std::size_t k = 0;
-         !applied.noop && k < begins.size() && (full || first < 0); ++k) {
-      const std::vector<int> labels =
-          argmax_rows(w->model.forward_resume(traces[k], f.layer, w->ws));
-      for (std::size_t t = 0; t < labels.size(); ++t) {
-        const auto test = begins[k] + static_cast<std::int64_t>(t);
-        if (labels[t] == result.clean_labels[static_cast<std::size_t>(test)]) {
-          continue;
-        }
-        if (first < 0) first = test;
-        if (!full) break;
-        row.set(static_cast<std::size_t>(test));
-      }
-    }
-    fault::revert_fault(w->model, applied);
-    result.first_detected[fi] = first;
-    if (full) result.rows[fi] = std::move(row);
-    const std::lock_guard<std::mutex> lock(mutex);
-    free.push_back(std::move(w));
-  });
-  for (const std::int64_t first : result.first_detected) {
-    if (first >= 0) ++result.detected;
-  }
-  return result;
-}
-
 /// Explicit bit-flip and byte-write faults (no preset enumerates them) on
 /// `per_layer` evenly spaced weight and bias units of every conv/dense
 /// layer.
@@ -285,7 +186,7 @@ void expect_batched_matches_references(
         suffix_replay_oracle(qmodel, suite, universe, options);
     if (!sequential_sample.empty()) {
       expect_same_result(
-          sim.run_sequential(sequential_sample, options),
+          run_sequential(qmodel, suite, sequential_sample, options),
           suffix_replay_oracle(qmodel, suite, sequential_sample, options),
           tag + " sequential vs oracle");
     }
@@ -325,7 +226,7 @@ TEST(FaultModelTest, FaultedCodeSemantics) {
             code);
 }
 
-TEST(FaultModelTest, IdsAreUniqueAndSerializationRoundTrips) {
+TEST(FaultModelTest, IdsAreUniqueAndDescribed) {
   const auto qmodel = small_qmodel();
   auto universe =
       fault::FaultUniverse::enumerate(qmodel, fault::universe_config("full"));
@@ -340,12 +241,6 @@ TEST(FaultModelTest, IdsAreUniqueAndSerializationRoundTrips) {
     EXPECT_FALSE(f.describe().empty());
   }
   EXPECT_EQ(ids.size(), universe.size()) << "fault ids collide";
-
-  ByteWriter writer;
-  universe.save(writer);
-  ByteReader reader(writer.bytes());
-  const auto loaded = fault::FaultUniverse::load(reader);
-  EXPECT_EQ(loaded.faults(), universe.faults());
 }
 
 TEST(FaultModelTest, EnumerationIsDeterministicAndThinningRespectsBudget) {
@@ -409,6 +304,29 @@ TEST(FaultModelTest, PresetsAndConfigRoundTrip) {
   EXPECT_EQ(loaded.stride, config.stride);
   EXPECT_EQ(loaded.max_faults, config.max_faults);
   EXPECT_FALSE(config.summary().empty());
+}
+
+TEST(FaultModelTest, UniverseConfigLoadRejectsInflatedCount) {
+  // A crafted manifest claims a huge bit list: the decoder must throw the
+  // typed error before allocating, for each of the three lists.
+  const fault::UniverseConfig config;
+  ByteWriter writer;
+  config.save(writer);
+  const std::vector<std::uint8_t> clean = writer.take();
+  // Each list is a u64 count then one i64 per entry, after 4 flag bytes.
+  const std::size_t bits_at = 4;
+  const std::size_t requant_at = bits_at + 8 * (1 + config.bits.size());
+  const std::size_t acc_at = requant_at + 8 * (1 + config.requant_bits.size());
+  for (const std::size_t at : {bits_at, requant_at, acc_at}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 40, std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+      std::vector<std::uint8_t> bytes = clean;
+      std::memcpy(bytes.data() + at, &count, sizeof count);
+      ByteReader reader(std::move(bytes));
+      EXPECT_THROW(fault::UniverseConfig::load(reader), Error)
+          << "count " << count << " at byte " << at;
+    }
+  }
 }
 
 TEST(FaultLayoutTest, MemoryFaultAdapterRoundTrips) {
@@ -638,7 +556,8 @@ TEST(SimulatorTest, EarlyExitFirstDetectionMatchesFullMatrix) {
         << "chunk " << chunk;
     EXPECT_EQ(early.detected, full.detected);
 
-    const fault::SimResult seq_early = sim.run_sequential(universe, options);
+    const fault::SimResult seq_early =
+        run_sequential(qmodel, suite, universe, options);
     EXPECT_EQ(seq_early.first_detected, full.first_detected)
         << "sequential, chunk " << chunk;
   }
@@ -668,7 +587,7 @@ TEST(SimulatorTest, BatchedMatchesSequentialOnZooModels) {
     }
     ASSERT_GT(noops, 0u) << "universe carries no no-op faults";
 
-    // The int8 backend also faces every other kind: the requant and
+    // The simulator also faces every other kind: the requant and
     // accumulator faults of the `full` preset and explicit bit-flip and
     // byte-write faults on every parameter layer (`other_kinds`, checked
     // against run_sequential too), plus an even sample of the whole preset
@@ -689,22 +608,16 @@ TEST(SimulatorTest, BatchedMatchesSequentialOnZooModels) {
                                       trained.name + "/full-preset");
 
     fault::FaultSimulator sim(qmodel, suite);
-    for (const fault::SimBackend backend :
-         {fault::SimBackend::kInt8, fault::SimBackend::kFloat}) {
-      fault::SimOptions options;
-      options.backend = backend;
-      const std::string tag =
-          trained.name +
-          (backend == fault::SimBackend::kInt8 ? "/int8" : "/float");
-      const fault::SimResult seq = sim.run_sequential(universe, options);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                        std::size_t{16}}) {
-        ThreadPool pool_override(threads);
-        options.pool = &pool_override;
-        const fault::SimResult batched = sim.run_batched(universe, options);
-        expect_same_result(seq, batched,
-                           tag + " x" + std::to_string(threads));
-      }
+    fault::SimOptions options;
+    const std::string tag = trained.name + "/int8";
+    const fault::SimResult seq =
+        run_sequential(qmodel, suite, universe, options);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                      std::size_t{16}}) {
+      ThreadPool pool_override(threads);
+      options.pool = &pool_override;
+      const fault::SimResult batched = sim.run_batched(universe, options);
+      expect_same_result(seq, batched, tag + " x" + std::to_string(threads));
     }
   }
 }

@@ -4,6 +4,7 @@
 // the quantized detection harness end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -165,13 +166,10 @@ std::vector<QGemmKernel> compiled_kernels() {
   return kernels;
 }
 
-/// Restores the process-wide kernel/path selectors on scope exit so a
-/// failing EXPECT cannot leak a forced kernel into later tests.
+/// Restores the process-wide kernel selector on scope exit so a failing
+/// EXPECT cannot leak a forced kernel into later tests.
 struct EngineStateGuard {
-  ~EngineStateGuard() {
-    set_qgemm_kernel(QGemmKernel::kAuto);
-    set_qconv_path(QConvPath::kFused);
-  }
+  ~EngineStateGuard() { set_qgemm_kernel(QGemmKernel::kAuto); }
 };
 
 TEST(QgemmTest, TiledParallelMatchesSerialAcrossPoolWidths) {
@@ -330,8 +328,10 @@ TEST(QConvFusedTest, RejectsMismatchedWeightPack) {
 
 TEST(QConvFusedTest, QuantModelForwardIdenticalAcrossPathsOnZooModels) {
   EngineStateGuard guard;
-  // End-to-end: the deployed QuantModel must produce bit-identical logits on
-  // both zoo convnets whichever conv path executes, for batch 1 and > 1.
+  // End-to-end: every conv layer of the deployed QuantModel (which runs the
+  // fused path) must accumulate exactly what the two-pass formulation,
+  // im2col_s8 + qgemm, computes on the same traced input codes — on both zoo
+  // convnets, for batch 1 and > 1, under every compiled micro-kernel.
   exp::ZooOptions options;
   options.tiny = true;
   exp::TrainedModel cases[] = {exp::mnist_tanh(options),
@@ -340,18 +340,44 @@ TEST(QConvFusedTest, QuantModelForwardIdenticalAcrossPathsOnZooModels) {
                                  exp::shapes_train(12).images};
   for (std::size_t ci = 0; ci < 2; ++ci) {
     QuantModel qm = QuantModel::quantize(cases[ci].model, pools[ci]);
-    for (const std::int64_t batch_size : {std::int64_t{1}, std::int64_t{7}}) {
-      std::vector<Tensor> items(pools[ci].begin(),
-                                pools[ci].begin() + batch_size);
-      const Tensor batch = stack_batch(items);
-      set_qconv_path(QConvPath::kFused);
-      const Tensor fused = qm.forward(batch);
-      set_qconv_path(QConvPath::kTwoPass);
-      const Tensor two_pass = qm.forward(batch);
-      ASSERT_EQ(fused.numel(), two_pass.numel());
-      for (std::int64_t i = 0; i < fused.numel(); ++i) {
-        EXPECT_EQ(fused[i], two_pass[i])
-            << cases[ci].name << " batch " << batch_size << " logit " << i;
+    for (const QGemmKernel kernel : compiled_kernels()) {
+      set_qgemm_kernel(kernel);
+      for (const std::int64_t batch_size : {std::int64_t{1}, std::int64_t{7}}) {
+        const std::vector<Tensor> items(pools[ci].begin(),
+                                        pools[ci].begin() + batch_size);
+        nn::Workspace ws;
+        QuantModel::ForwardTrace trace;
+        qm.forward_traced(stack_batch(items), ws, trace);
+        std::size_t convs = 0;
+        for (std::size_t li = 0; li < qm.layers().size(); ++li) {
+          const QLayer& q = qm.layers()[li];
+          if (q.kind != QLayerKind::kConv2d) continue;
+          ++convs;
+          const QuantModel::ForwardTrace::Entry& entry = trace.entries[li];
+          ASSERT_EQ(entry.dims.size(), 3u);
+          const QConvShape s{q.in_channels, entry.dims[1], entry.dims[2],
+                             q.out_channels, q.kernel, q.stride, q.pad};
+          const std::int64_t in_numel = s.in_channels * s.height * s.width;
+          const std::int64_t item_out = s.out_channels * s.plane();
+          ASSERT_EQ(entry.acc.size(),
+                    static_cast<std::size_t>(batch_size * item_out));
+          std::vector<std::int8_t> cols(
+              static_cast<std::size_t>(s.fanin() * s.plane()));
+          std::vector<std::int32_t> two_pass(static_cast<std::size_t>(item_out));
+          for (std::int64_t item = 0; item < batch_size; ++item) {
+            im2col_s8(entry.codes + item * in_numel, s.in_channels, s.height,
+                      s.width, s.kernel, s.kernel, s.stride, s.pad,
+                      cols.data());
+            qgemm(s.out_channels, s.plane(), s.fanin(), q.weights.data(),
+                  cols.data(), two_pass.data());
+            EXPECT_TRUE(std::equal(two_pass.begin(), two_pass.end(),
+                                   entry.acc.begin() + item * item_out))
+                << cases[ci].name << " " << q.name << " "
+                << qgemm_kernel_name() << " batch " << batch_size << " item "
+                << item;
+          }
+        }
+        EXPECT_GT(convs, 0u) << cases[ci].name;
       }
     }
   }
@@ -705,23 +731,22 @@ TEST(QuantDetectionTest, RunsEndToEndOnInt8Backend) {
   EXPECT_EQ(rerun.successful_trials, outcome.successful_trials);
 }
 
-// ---------- QuantizedIp backend A/B ----------
+// ---------- QuantizedIp int8 engine vs its float mirror ----------
 
 TEST(QuantizedIpBackendTest, Int8AndDequantFloatAgreeOnMostInputs) {
   Sequential model = trained_mlp();
   const auto pool = probe_pool(50, Shape{6});
   ip::QuantizedIp quantized(model, Shape{6}, pool);
-  EXPECT_EQ(quantized.backend(), ip::QuantBackend::kInt8);
 
   const auto int8_labels = quantized.predict_all(pool);
-  quantized.set_backend(ip::QuantBackend::kDequantFloat);
-  const auto float_labels = quantized.predict_all(pool);
+  const auto float_labels =
+      quantized.reference_model().predict_labels(stack_batch(pool));
   int agree = 0;
   for (std::size_t i = 0; i < pool.size(); ++i) {
     agree += int8_labels[i] == float_labels[i];
   }
-  // Both backends run the same dequantized weights; only activation
-  // quantization separates them.
+  // The int8 engine and its float mirror carry the same dequantized
+  // weights; only activation quantization separates them.
   EXPECT_GE(agree, 45);
 }
 

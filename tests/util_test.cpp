@@ -311,6 +311,22 @@ TEST(SerializeTest, UnderrunThrows) {
   EXPECT_THROW(reader.read_u32(), Error);
 }
 
+TEST(SerializeTest, HostileLengthsThrowTypedError) {
+  // A length near 2^64 must not wrap the bounds check: every read below
+  // throws dnnv::Error, not std::length_error or std::bad_alloc.
+  ByteWriter writer;
+  writer.write_u64(~std::uint64_t{0});
+  writer.write_u64(7);
+  ByteReader strings(writer.bytes());
+  EXPECT_THROW(strings.read_string(), Error);
+
+  ByteReader arrays(writer.take());
+  EXPECT_THROW(arrays.read_f32_array(std::size_t{1} << 62), Error);
+  EXPECT_THROW(arrays.read_u64_array(std::size_t{1} << 61), Error);
+  EXPECT_THROW(arrays.read_bytes(~std::size_t{0}), Error);
+  EXPECT_EQ(arrays.read_u64(), ~std::uint64_t{0}) << "a failed read must not consume";
+}
+
 TEST(SerializeTest, FileRoundTrip) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "dnnv_serialize_test.bin").string();
