@@ -3,9 +3,9 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
+#include "coverage/accumulator.h"
 #include "coverage/criterion.h"
 #include "coverage/parameter_coverage.h"
-#include "coverage/pool_sweep.h"
 #include "tensor/batch.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -78,10 +78,10 @@ int main(int argc, char** argv) {
                    "slightly — the abs pass bounds the per-class gradients)\n";
     }
 
-    // Criterion observe path: batched sweeps through Criterion::observe,
-    // whose mask scratch (and the accumulator behind it) is reused across
-    // batches. Pass 1 warms the storage; pass 2 is the steady state the
-    // generator loops run in — it must not be slower than pass 1.
+    // Criterion measure path: batched sweeps through Criterion::measure into
+    // reused mask storage, unioned into a CoverageAccumulator. Pass 1 warms
+    // the storage; pass 2 is the steady state the generator loops run in —
+    // it must not be slower than pass 1.
     cov::CriterionContext ctx;
     ctx.model = &trained.model;
     ctx.item_shape = trained.item_shape;
@@ -89,26 +89,28 @@ int main(int argc, char** argv) {
     criterion_config.parameter = abs_config;
     const auto criterion =
         cov::make_criterion("parameter", ctx, criterion_config);
+    constexpr std::size_t kBatch = 16;  // Criterion::measure_pool's width
     Tensor batch;
-    double observe_times[2] = {0.0, 0.0};
+    std::vector<DynamicBitset> masks;
+    cov::CoverageAccumulator accumulator(criterion->total_points());
+    double measure_times[2] = {0.0, 0.0};
     for (int pass = 0; pass < 2; ++pass) {
-      criterion->reset_coverage();
+      accumulator = cov::CoverageAccumulator(criterion->total_points());
       timer.reset();
-      for (std::size_t begin = 0; begin < pool.images.size();
-           begin += cov::detail::kMaskBatch) {
-        const std::size_t end = std::min(pool.images.size(),
-                                         begin + cov::detail::kMaskBatch);
+      for (std::size_t begin = 0; begin < pool.images.size(); begin += kBatch) {
+        const std::size_t end = std::min(pool.images.size(), begin + kBatch);
         stack_batch_range(pool.images, begin, end, batch);
-        criterion->observe(batch);
+        criterion->measure(batch, masks);
+        for (const auto& mask : masks) accumulator.add(mask);
       }
-      observe_times[pass] = timer.elapsed_seconds();
+      measure_times[pass] = timer.elapsed_seconds();
     }
-    std::cout << "criterion observe (batched): cold "
-              << format_double(observe_times[0] / count * 1e3, 2)
+    std::cout << "criterion measure (batched): cold "
+              << format_double(measure_times[0] / count * 1e3, 2)
               << " ms/image, warmed (reused mask storage) "
-              << format_double(observe_times[1] / count * 1e3, 2)
+              << format_double(measure_times[1] / count * 1e3, 2)
               << " ms/image, final coverage "
-              << format_percent(criterion->coverage()) << "\n";
+              << format_percent(accumulator.coverage()) << "\n";
   }
   return 0;
 }

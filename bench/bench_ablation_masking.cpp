@@ -4,8 +4,8 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "coverage/parameter_coverage.h"
-#include "testgen/gradient_generator.h"
+#include "coverage/criterion.h"
+#include "testgen/generator.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -18,17 +18,20 @@ int main(int argc, char** argv) {
   const auto options = bench::zoo_options(args);
   for (const bool use_mnist : {false, true}) {
   auto trained = use_mnist ? exp::mnist_tanh(options) : exp::cifar_relu(options);
-  const auto universe = static_cast<std::size_t>(trained.model.param_count());
+  const auto criterion =
+      cov::make_parameter_criterion(trained.model, trained.coverage);
 
   auto run = [&](bool masked) {
-    cov::CoverageAccumulator acc(universe);
-    testgen::GradientGenerator::Options gen_options;
-    gen_options.max_tests = budget;
-    gen_options.coverage = trained.coverage;
-    gen_options.steps = 60;
-    gen_options.mask_activated = masked;
-    return testgen::GradientGenerator(gen_options)
-        .generate(trained.model, trained.item_shape, trained.num_classes, acc);
+    testgen::GeneratorConfig config;
+    config.max_tests = budget;
+    config.gradient.steps = 60;
+    config.gradient.mask_activated = masked;
+    testgen::GenContext ctx;
+    ctx.model = &trained.model;
+    ctx.item_shape = trained.item_shape;
+    ctx.num_classes = trained.num_classes;
+    ctx.criterion = criterion.get();
+    return testgen::make_generator("gradient", config)->generate(ctx);
   };
 
   const auto masked = run(true);

@@ -3,8 +3,8 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "coverage/parameter_coverage.h"
-#include "testgen/combined_generator.h"
+#include "coverage/criterion.h"
+#include "testgen/generator.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -18,21 +18,23 @@ int main(int argc, char** argv) {
   const auto options = bench::zoo_options(args);
   auto trained = exp::cifar_relu(options);
   const auto pool = exp::shapes_train(pool_size);
-  const auto universe = static_cast<std::size_t>(trained.model.param_count());
-  const auto masks =
-      cov::activation_masks(trained.model, pool.images, trained.coverage);
+  const auto criterion =
+      cov::make_parameter_criterion(trained.model, trained.coverage);
+  const auto masks = criterion->measure_pool(pool.images);
 
   auto run = [&](testgen::SwitchPolicy policy) {
-    cov::CoverageAccumulator acc(universe);
-    testgen::CombinedGenerator::Options combined_options;
-    combined_options.max_tests = budget;
-    combined_options.coverage = trained.coverage;
-    combined_options.policy = policy;
-    combined_options.gradient.coverage = trained.coverage;
-    combined_options.gradient.steps = 60;
-    return testgen::CombinedGenerator(combined_options)
-        .generate(trained.model, pool.images, masks, trained.item_shape,
-                  trained.num_classes, acc);
+    testgen::GeneratorConfig config;
+    config.max_tests = budget;
+    config.policy = policy;
+    config.gradient.steps = 60;
+    testgen::GenContext ctx;
+    ctx.model = &trained.model;
+    ctx.pool = &pool.images;
+    ctx.masks = &masks;
+    ctx.item_shape = trained.item_shape;
+    ctx.num_classes = trained.num_classes;
+    ctx.criterion = criterion.get();
+    return testgen::make_generator("combined", config)->generate(ctx);
   };
 
   const auto once = run(testgen::SwitchPolicy::kSwitchOnce);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "coverage/criterion.h"
 #include "coverage/parameter_coverage.h"
 #include "nn/builder.h"
 #include "quant/qgemm.h"
@@ -83,10 +84,15 @@ void bench_masks(NamedModel& m, const std::vector<Tensor>& pool) {
   }
   const double item_s = timer.elapsed_seconds();
 
-  // Batch-native pipeline.
-  cov::activation_masks(m.model, pool, m.coverage);  // warmup
+  // Batch-native pipeline (criterion construction included, as in any
+  // one-shot pool sweep).
+  const auto sweep = [&] {
+    return cov::make_parameter_criterion(m.model, m.coverage)
+        ->measure_pool(pool);
+  };
+  sweep();  // warmup
   timer.reset();
-  const auto batched_masks = cov::activation_masks(m.model, pool, m.coverage);
+  const auto batched_masks = sweep();
   const double batched_s = timer.elapsed_seconds();
 
   int mismatches = 0;

@@ -17,7 +17,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_json.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "ip/fault_injector.h"
 #include "ip/quantized_ip.h"
 #include "testgen/generator.h"
@@ -43,17 +43,18 @@ int main(int argc, char** argv) {
     const auto pool = exp::shapes_train(400);
 
     // Generate the functional-test suite with the combined method.
-    cov::CoverageAccumulator acc(
-        static_cast<std::size_t>(trained.model.param_count()));
+    const auto criterion =
+        cov::make_parameter_criterion(trained.model, trained.coverage);
+    cov::CoverageAccumulator acc(criterion->total_points());
     testgen::GeneratorConfig gen_config;
     gen_config.max_tests = max_tests;
-    gen_config.coverage = trained.coverage;
     gen_config.gradient.steps = 60;
     testgen::GenContext gen_ctx;
     gen_ctx.model = &trained.model;
     gen_ctx.pool = &pool.images;
     gen_ctx.item_shape = trained.item_shape;
     gen_ctx.num_classes = trained.num_classes;
+    gen_ctx.criterion = criterion.get();
     gen_ctx.accumulator = &acc;
     const auto tests =
         testgen::make_generator("combined", gen_config)->generate(gen_ctx);

@@ -164,15 +164,14 @@ int main(int argc, char** argv) {
       // Functional suite, golden labels from the artifact under test.
       testgen::GeneratorConfig gen_config;
       gen_config.max_tests = num_tests;
-      gen_config.coverage = trained.coverage;
-      cov::CoverageAccumulator acc(
-          static_cast<std::size_t>(trained.model.param_count()));
+      const auto criterion =
+          cov::make_parameter_criterion(trained.model, trained.coverage);
       testgen::GenContext gen_ctx;
       gen_ctx.model = &trained.model;
       gen_ctx.pool = &pool.images;
       gen_ctx.item_shape = trained.item_shape;
       gen_ctx.num_classes = trained.num_classes;
-      gen_ctx.accumulator = &acc;
+      gen_ctx.criterion = criterion.get();
       const auto generated =
           testgen::make_generator("greedy", gen_config)->generate(gen_ctx);
       std::vector<Tensor> inputs;

@@ -10,7 +10,7 @@
 #include "attack/random_perturbation.h"
 #include "attack/sba.h"
 #include "bench/bench_common.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "testgen/generator.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -36,23 +36,30 @@ inline testgen::GeneratorConfig detection_table_config(
   return config;
 }
 
-/// Builds one method's qualified suite through the registry. `coverage_out`
-/// receives the method's own final coverage metric (VC for parameter-
-/// coverage methods, neuron coverage for the baseline).
+/// Builds one method's qualified suite through make_generator. The baseline
+/// selects by neuron coverage, the proposed method by parameter coverage;
+/// `coverage_out` receives that metric's final coverage.
 inline validate::TestSuite build_method_suite(
     const std::string& method, const exp::TrainedModel& trained,
     const data::MaterializedData& pool, int max_tests, double* coverage_out) {
-  cov::CoverageAccumulator accumulator(
-      static_cast<std::size_t>(trained.model.param_count()));
+  const testgen::GeneratorConfig config =
+      detection_table_config(trained, max_tests);
+  cov::CriterionContext criterion_ctx;
+  criterion_ctx.model = &trained.model;
+  criterion_ctx.item_shape = trained.item_shape;
+  const auto criterion =
+      method == kBaselineMethod
+          ? cov::make_criterion("neuron", criterion_ctx)
+          : cov::make_parameter_criterion(trained.model, config.coverage);
+  cov::CoverageAccumulator accumulator(criterion->total_points());
   testgen::GenContext ctx;
   ctx.model = &trained.model;
   ctx.pool = &pool.images;
   ctx.item_shape = trained.item_shape;
   ctx.num_classes = trained.num_classes;
+  ctx.criterion = criterion.get();
   ctx.accumulator = &accumulator;
-  const auto result =
-      testgen::make_generator(method, detection_table_config(trained, max_tests))
-          ->generate(ctx);
+  const auto result = testgen::make_generator(method, config)->generate(ctx);
   if (coverage_out != nullptr) *coverage_out = result.final_coverage;
   auto vendor_model = trained.model.clone();
   return validate::TestSuite::create(vendor_model, result.tests);

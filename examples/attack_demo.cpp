@@ -9,7 +9,7 @@
 #include "attack/gda.h"
 #include "attack/random_perturbation.h"
 #include "attack/sba.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "exp/model_zoo.h"
 #include "ip/reference_ip.h"
 #include "nn/trainer.h"
@@ -37,18 +37,17 @@ int main(int argc, char** argv) {
   std::cout << "clean test accuracy: " << format_percent(clean_accuracy) << "\n\n";
 
   // Functional-test suite for detection checks.
-  cov::CoverageAccumulator acc(
-      static_cast<std::size_t>(trained.model.param_count()));
+  const auto criterion =
+      cov::make_parameter_criterion(trained.model, trained.coverage);
   testgen::GeneratorConfig gen_config;
   gen_config.max_tests = 50;
-  gen_config.coverage = trained.coverage;
   gen_config.gradient.steps = 50;
   testgen::GenContext gen_ctx;
   gen_ctx.model = &trained.model;
   gen_ctx.pool = &pool.images;
   gen_ctx.item_shape = trained.item_shape;
   gen_ctx.num_classes = trained.num_classes;
-  gen_ctx.accumulator = &acc;
+  gen_ctx.criterion = criterion.get();
   const auto tests =
       testgen::make_generator("combined", gen_config)->generate(gen_ctx);
   auto suite = validate::TestSuite::create(trained.model, tests.tests);

@@ -9,6 +9,7 @@
 //                                               boundary|topk]
 #include <iostream>
 
+#include "coverage/accumulator.h"
 #include "coverage/criterion.h"
 #include "coverage/report.h"
 #include "exp/model_zoo.h"
@@ -65,15 +66,17 @@ int main(int argc, char** argv) {
   }
 
   // Union growth: how much NEW coverage each extra training image brings
-  // under the selected criterion (observe() accumulates internally).
+  // under the selected criterion.
   std::cout << "\nunion growth over 10 training images ('" << criterion_name
             << "'):\n";
   TablePrinter growth({"after image", "coverage", "new points added"});
-  for (std::size_t i = 0; i < train.images.size(); ++i) {
-    const std::size_t gained =
-        criterion->observe(stack_batch({train.images[i]}));
+  cov::CoverageAccumulator accumulator(criterion->total_points());
+  const auto masks = criterion->measure(stack_batch(train.images));
+  for (std::size_t i = 0; i < masks.size(); ++i) {
+    const std::size_t gained = accumulator.marginal_gain(masks[i]);
+    accumulator.add(masks[i]);
     growth.add_row({std::to_string(i + 1),
-                    format_percent(criterion->coverage()),
+                    format_percent(accumulator.coverage()),
                     std::to_string(gained)});
   }
   growth.print(std::cout);

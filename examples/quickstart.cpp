@@ -3,12 +3,13 @@
 //   ship them as an encrypted package, validate the black-box IP, then show
 //   that a fault-injection attack is caught.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/quickstart
+// Exits 1 when the generator yields no tests or the intact IP is not SECURE.
 #include <filesystem>
 #include <iostream>
 
 #include "attack/sba.h"
-#include "coverage/parameter_coverage.h"
+#include "coverage/criterion.h"
 #include "exp/model_zoo.h"
 #include "ip/reference_ip.h"
 #include "testgen/generator.h"
@@ -29,25 +30,31 @@ int main() {
             << trained.test_accuracy * 100 << "%\n";
 
   // 2. Generate functional tests: greedy training-set selection first, then
-  //    gradient-based synthesis once selection saturates (paper §IV).
+  //    gradient-based synthesis once selection saturates (paper §IV), both
+  //    scored by parameter-activation coverage (Eq. 2/3).
   std::cout << "[2] generating functional tests (combined method)...\n";
   const auto pool = exp::shapes_train(150);
-  cov::CoverageAccumulator coverage(
-      static_cast<std::size_t>(trained.model.param_count()));
+  const auto criterion =
+      cov::make_parameter_criterion(trained.model, trained.coverage);
+  cov::CoverageAccumulator coverage(criterion->total_points());
   testgen::GeneratorConfig gen_config;
   gen_config.max_tests = 20;
-  gen_config.coverage = trained.coverage;
   gen_config.gradient.steps = 40;
   testgen::GenContext gen_ctx;
   gen_ctx.model = &trained.model;
   gen_ctx.pool = &pool.images;
   gen_ctx.item_shape = trained.item_shape;
   gen_ctx.num_classes = trained.num_classes;
+  gen_ctx.criterion = criterion.get();
   gen_ctx.accumulator = &coverage;
   const auto tests =
       testgen::make_generator("combined", gen_config)->generate(gen_ctx);
   std::cout << "    " << tests.tests.size() << " tests activate "
             << coverage.coverage() * 100 << "% of all parameters\n";
+  if (tests.tests.empty()) {
+    std::cerr << "the generator produced no tests\n";
+    return 1;
+  }
 
   // 3. Package (X, Y) for release: golden outputs + keyed obfuscation + CRC.
   std::cout << "[3] packaging tests with golden outputs...\n";
@@ -63,6 +70,11 @@ int main() {
   auto verdict = validate::validate_ip(ip, received);
   std::cout << "    verdict: " << (verdict.passed ? "SECURE" : "TAMPERED")
             << " (" << verdict.tests_run << " tests)\n";
+  if (!verdict.passed) {
+    std::filesystem::remove(package);
+    std::cerr << "the intact IP failed its own suite\n";
+    return 1;
+  }
 
   // 5. An attacker flips the IP's behaviour with a single-bias fault
   //    injection (Liu et al., ICCAD'17); re-validation flags it.

@@ -3,16 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <utility>
 
-#include "coverage/pool_sweep.h"
 #include "quant/quant_model.h"
 #include "tensor/batch.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace dnnv::cov {
+namespace {
+
+/// Pool inputs are swept `kMaskBatch` at a time: large enough that the
+/// batched forward amortises packing and dispatch, small enough that the
+/// per-layer activation buffers stay cache-resident.
+constexpr std::size_t kMaskBatch = 16;
+
+}  // namespace
 
 // ---------------- CriterionConfig ----------------
 
@@ -76,33 +83,45 @@ std::vector<DynamicBitset> Criterion::measure(const Tensor& batch) {
 
 std::vector<DynamicBitset> Criterion::measure_pool(
     const std::vector<Tensor>& pool) const {
-  return detail::sweep_pool(
-      pool, [this] { return clone(); },
-      [](const std::unique_ptr<Criterion>& criterion, const Tensor& batch) {
-        return criterion->measure(batch);
-      });
-}
+  std::vector<DynamicBitset> masks(pool.size());
+  if (pool.empty()) return masks;
 
-std::size_t Criterion::observe(const Tensor& batch) {
-  if (covered_.total_points() != total_points()) {
-    covered_ = CoverageMap(total_points());
+  // Batches of kMaskBatch items, one criterion clone per worker thread over
+  // a contiguous range of batches, so the result is identical to the serial
+  // sweep.
+  const std::size_t num_batches = (pool.size() + kMaskBatch - 1) / kMaskBatch;
+  const auto sweep = [&](std::size_t batch_begin, std::size_t batch_end) {
+    const std::unique_ptr<Criterion> worker = clone();
+    Tensor batch;
+    std::vector<DynamicBitset> batch_masks;
+    for (std::size_t bi = batch_begin; bi < batch_end; ++bi) {
+      const std::size_t begin = bi * kMaskBatch;
+      const std::size_t end = std::min(pool.size(), begin + kMaskBatch);
+      stack_batch_range(pool, begin, end, batch);
+      batch_masks = worker->measure(batch);
+      for (std::size_t i = begin; i < end; ++i) {
+        masks[i] = std::move(batch_masks[i - begin]);
+      }
+    }
+  };
+
+  ThreadPool& threads = ThreadPool::shared();
+  const std::size_t num_workers = std::min(threads.num_threads(), num_batches);
+  if (num_workers <= 1 || ThreadPool::in_worker()) {
+    sweep(0, num_batches);
+    return masks;
   }
-  measure(batch, observe_masks_);
-  const std::size_t before = covered_.covered_count();
-  const std::size_t b = static_cast<std::size_t>(batch.shape()[0]);
-  for (std::size_t i = 0; i < b; ++i) covered_.add(observe_masks_[i]);
-  return covered_.covered_count() - before;
-}
-
-std::size_t Criterion::gain(const DynamicBitset& candidate) const {
-  // Before the first observe the covered map is empty: everything is new.
-  if (covered_.total_points() == 0) return candidate.count();
-  return covered_.gain(candidate);
-}
-
-double Criterion::coverage() const {
-  if (covered_.total_points() == 0) return 0.0;
-  return covered_.fraction();
+  const std::size_t chunk = (num_batches + num_workers - 1) / num_workers;
+  for (std::size_t w = 0; w < num_workers; ++w) {
+    threads.submit([&, w] {
+      const std::size_t begin = w * chunk;
+      const std::size_t end = std::min(num_batches, begin + chunk);
+      if (begin >= end) return;
+      sweep(begin, end);
+    });
+  }
+  threads.wait_all();
+  return masks;
 }
 
 namespace {
@@ -279,9 +298,9 @@ void calibrate_ranges(NeuronProbe& probe, const std::vector<Tensor>& pool,
   Tensor batch;
   std::vector<double> values;
   for (std::size_t begin = 0; begin < pool.size();
-       begin += detail::kMaskBatch) {
+       begin += kMaskBatch) {
     const std::size_t end =
-        std::min(pool.size(), begin + detail::kMaskBatch);
+        std::min(pool.size(), begin + kMaskBatch);
     stack_batch_range(pool, begin, end, batch);
     const std::int64_t b = probe.values(batch, values);
     for (std::int64_t item = 0; item < b; ++item) {
@@ -539,38 +558,34 @@ class TopKCriterion final : public NeuronValueCriterion {
   std::vector<std::size_t> order_;  ///< per-layer selection scratch
 };
 
-// ---------------- registry ----------------
+// ---------------- the name table ----------------
 
 template <typename Built>
-CriterionFactory factory_of() {
-  return [](const CriterionContext& ctx,
-            const CriterionConfig& config) -> std::unique_ptr<Criterion> {
-    return std::make_unique<Built>(ctx, config);
-  };
+std::unique_ptr<Criterion> construct(const CriterionContext& ctx,
+                                     const CriterionConfig& config) {
+  return std::make_unique<Built>(ctx, config);
 }
 
-struct Registry {
-  std::map<std::string, CriterionFactory> factories;
-  std::vector<std::string> order;
-
-  static Registry& instance() {
-    static Registry registry = [] {
-      Registry r;
-      r.add("parameter", factory_of<ParameterCriterion>());
-      r.add("neuron", factory_of<NeuronCriterion>());
-      r.add("ksection", factory_of<KSectionCriterion>());
-      r.add("boundary", factory_of<BoundaryCriterion>());
-      r.add("topk", factory_of<TopKCriterion>());
-      return r;
-    }();
-    return registry;
-  }
-
-  void add(const std::string& name, CriterionFactory factory) {
-    factories.emplace(name, std::move(factory));
-    order.push_back(name);
-  }
+struct CriterionEntry {
+  const char* name;
+  std::unique_ptr<Criterion> (*make)(const CriterionContext&,
+                                     const CriterionConfig&);
 };
+
+constexpr CriterionEntry kCriteria[] = {
+    {"parameter", &construct<ParameterCriterion>},
+    {"neuron", &construct<NeuronCriterion>},
+    {"ksection", &construct<KSectionCriterion>},
+    {"boundary", &construct<BoundaryCriterion>},
+    {"topk", &construct<TopKCriterion>},
+};
+
+const CriterionEntry* find_criterion(const std::string& name) {
+  for (const CriterionEntry& entry : kCriteria) {
+    if (name == entry.name) return &entry;
+  }
+  return nullptr;
+}
 
 }  // namespace
 
@@ -586,41 +601,27 @@ std::unique_ptr<Criterion> make_parameter_criterion(
 std::unique_ptr<Criterion> make_criterion(const std::string& name,
                                           const CriterionContext& ctx,
                                           const CriterionConfig& config) {
-  const auto& registry = Registry::instance();
-  const auto it = registry.factories.find(name);
-  if (it == registry.factories.end()) {
+  const CriterionEntry* entry = find_criterion(name);
+  if (entry == nullptr) {
     std::string known;
-    for (const auto& n : registry.order) {
+    for (const CriterionEntry& criterion : kCriteria) {
       if (!known.empty()) known += ", ";
-      known += n;
+      known += criterion.name;
     }
     DNNV_THROW("unknown coverage criterion '" << name << "' (registered: "
                                               << known << ")");
   }
-  return it->second(ctx, config);
+  return entry->make(ctx, config);
 }
 
 bool criterion_registered(const std::string& name) {
-  return Registry::instance().factories.count(name) > 0;
+  return find_criterion(name) != nullptr;
 }
 
 std::vector<std::string> criterion_names() {
-  return Registry::instance().order;
-}
-
-void register_criterion(const std::string& name, CriterionFactory factory,
-                        bool replace) {
-  Registry& registry = Registry::instance();
-  const auto it = registry.factories.find(name);
-  if (it == registry.factories.end()) {
-    registry.add(name, std::move(factory));
-    return;
-  }
-  DNNV_CHECK(replace, "coverage criterion '"
-                          << name
-                          << "' is already registered (pass replace = true "
-                             "to override it)");
-  it->second = std::move(factory);
+  std::vector<std::string> names;
+  for (const CriterionEntry& entry : kCriteria) names.emplace_back(entry.name);
+  return names;
 }
 
 }  // namespace dnnv::cov

@@ -1,4 +1,4 @@
-// Pluggable coverage-criterion API.
+// Coverage criteria: which points of a model an input exercises.
 //
 // The paper's generation loop is "pick the input that maximizes coverage
 // gain" — but WHICH coverage is a design axis of its own: the paper's
@@ -6,14 +6,16 @@
 // baseline ([10]/[11]), and the stronger structural criteria of the DNN-
 // testing literature (k-multisection / boundary / top-k neuron coverage,
 // Sun et al. arXiv:1803.04792; multi-criteria generation, arXiv:2411.01033).
-// Criterion normalises them all to one interface —
-//   measure(batch) -> per-item point masks, observe(batch) -> covered set,
-//   gain(candidate) -> greedy marginal gain, CoverageMap snapshot/merge —
-// plus a string-keyed registry (make_criterion) mirroring
-// testgen::make_generator, so generators, the vendor pipeline, the CLI and
-// the benches select criteria by name. The "parameter" and "neuron"
-// built-ins are thin adapters over ParameterCoverage / NeuronCoverage and
-// bit-identical to them (guarded by coverage_criteria_test).
+// Criterion normalises them all to one measurement —
+//   measure(batch) -> per-item point masks, measure_pool(pool) -> one mask
+//   per pool item —
+// behind a fixed name table (make_criterion). A criterion holds no covered
+// set: callers union masks into a cov::CoverageAccumulator (accumulator.h),
+// which answers the greedy gain query. testgen::make_generator methods, the
+// vendor pipeline, the CLI and the benches select criteria by name. The
+// "parameter" and "neuron" criteria are thin adapters over
+// ParameterCoverage / NeuronCoverage and bit-identical to them (guarded by
+// coverage_criteria_test).
 //
 // Every criterion is batch-native (masks come from one nn::Workspace
 // forward per batch) and int8-aware: bind CriterionContext::qmodel and the
@@ -22,7 +24,6 @@
 #ifndef DNNV_COVERAGE_CRITERION_H_
 #define DNNV_COVERAGE_CRITERION_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,15 +84,14 @@ struct CriterionContext {
 };
 
 /// Abstract coverage criterion: a universe of total_points() coverage
-/// points over one bound model, a batch-native measurement of which points
-/// an input hits, and a running covered-set with greedy gain queries.
-/// Instances are single-threaded (they own a model clone + workspace);
-/// clone() hands fresh instances to worker threads.
+/// points over one bound model and a batch-native measurement of which
+/// points an input hits. Instances are single-threaded (they own a model
+/// clone + workspace); clone() hands fresh instances to worker threads.
 class Criterion {
  public:
   virtual ~Criterion() = default;
 
-  /// Registry name ("parameter", "neuron", "ksection", ...).
+  /// Criterion name ("parameter", "neuron", "ksection", ...).
   virtual std::string name() const = 0;
 
   /// One-line human description including the effective knobs.
@@ -105,15 +105,15 @@ class Criterion {
   virtual std::size_t total_points() const = 0;
 
   /// True when points index the model's global parameter space — the hook
-  /// that lets Algorithm 2's masked-model synthesis consume covered().
+  /// that lets Algorithm 2's masked-model synthesis zero covered points.
   virtual bool parameter_indexed() const { return false; }
 
   /// Fresh instance over a clone of the bound model (worker threads).
   virtual std::unique_ptr<Criterion> clone() const = 0;
 
-  /// Per-item point masks of one batched input [B, ...]; does NOT touch the
-  /// covered set. `masks` is resized to B with every bitset cleared in
-  /// place, so steady-state calls reuse all mask storage.
+  /// Per-item point masks of one batched input [B, ...]. `masks` is resized
+  /// to B with every bitset cleared in place, so steady-state calls reuse
+  /// all mask storage.
   void measure(const Tensor& batch, std::vector<DynamicBitset>& masks);
 
   /// Allocating variant of measure().
@@ -121,32 +121,15 @@ class Criterion {
 
   /// Masks for a whole input pool, order-preserving: chunked batches, one
   /// criterion clone per worker thread (deterministic, identical to the
-  /// serial sweep — the single pool_sweep helper behind every criterion).
+  /// serial sweep).
   std::vector<DynamicBitset> measure_pool(
       const std::vector<Tensor>& pool) const;
 
-  /// Measures `batch` into internal scratch (storage reused across calls —
-  /// no per-batch allocations once warmed) and unions every item's points
-  /// into the covered set. Returns the number of newly covered points.
-  std::size_t observe(const Tensor& batch);
-
-  /// Points `candidate` would newly cover — the greedy-selection query.
-  std::size_t gain(const DynamicBitset& candidate) const;
-
-  /// Covered-set snapshot (empty map before the first observe).
-  const CoverageMap& covered() const { return covered_; }
-
-  /// Covered fraction in [0, 1].
-  double coverage() const;
-
-  /// Clears the covered set (the universe stays).
-  void reset_coverage() { covered_.reset(); }
-
  protected:
   /// Fills `masks` with each item's hit points. Implementations size and
-  /// clear the masks themselves — the legacy engines' into-variants already
-  /// do, and value criteria call prepare_masks() — so storage is zeroed
-  /// exactly once per batch.
+  /// clear the masks themselves — the ParameterCoverage / NeuronCoverage
+  /// into-variants already do, and value criteria call prepare_masks() — so
+  /// storage is zeroed exactly once per batch.
   virtual void measure_batch(const Tensor& batch,
                              std::vector<DynamicBitset>& masks) = 0;
 
@@ -154,19 +137,11 @@ class Criterion {
   /// cleared in place (word storage reused when already the right size).
   void prepare_masks(std::vector<DynamicBitset>& masks,
                      std::size_t batch_size) const;
-
- private:
-  CoverageMap covered_;
-  std::vector<DynamicBitset> observe_masks_;  ///< observe() scratch, reused
 };
 
-/// Factory signature for registry entries.
-using CriterionFactory = std::function<std::unique_ptr<Criterion>(
-    const CriterionContext&, const CriterionConfig&)>;
-
-/// Instantiates a registered criterion by name, bound to `ctx`; throws
-/// dnnv::Error for unknown names (listing the registered ones) or a context
-/// missing something the criterion needs. Built-in names:
+/// Instantiates a criterion by name, bound to `ctx`; throws dnnv::Error for
+/// unknown names (listing the known ones) or a context missing something
+/// the criterion needs. Names:
 ///   "parameter"  paper Eq. 2 parameter-activation coverage (ParameterCoverage)
 ///   "neuron"     DeepXplore-style neuron coverage ([10]/[11] baseline)
 ///   "ksection"   k-multisection neuron coverage (Sun et al. 1803.04792)
@@ -176,24 +151,16 @@ std::unique_ptr<Criterion> make_criterion(const std::string& name,
                                           const CriterionContext& ctx,
                                           const CriterionConfig& config = {});
 
-/// Convenience for the paper's default metric: a "parameter" criterion
-/// over `model` with the given activation config — the fallback every
-/// legacy (criterion-less) generator path builds.
+/// Convenience for the paper's metric: a "parameter" criterion over `model`
+/// with the given activation config.
 std::unique_ptr<Criterion> make_parameter_criterion(
     const nn::Sequential& model, const CoverageConfig& coverage);
 
 /// True when `name` resolves.
 bool criterion_registered(const std::string& name);
 
-/// All registered names, registration order (built-ins first).
+/// All criterion names, in the order listed above.
 std::vector<std::string> criterion_names();
-
-/// Registers a custom criterion under `name` — the hook for out-of-tree
-/// criteria to join generators/pipeline/CLI by name. Registering an
-/// existing name throws unless `replace` is set (built-ins carry
-/// bit-identity guarantees; replacing one must be deliberate).
-void register_criterion(const std::string& name, CriterionFactory factory,
-                        bool replace = false);
 
 }  // namespace dnnv::cov
 

@@ -60,7 +60,7 @@ class NeuronCoverage {
   std::vector<DynamicBitset> neuron_masks_batched(const Tensor& batch);
 
   /// Into-variant: fills `masks` (resized to the batch size, each bitset
-  /// cleared in place) so warmed-up observe loops allocate no mask storage.
+  /// cleared in place) so warmed-up callers allocate no mask storage.
   void neuron_masks_batched(const Tensor& batch,
                             std::vector<DynamicBitset>& masks);
 
@@ -76,13 +76,6 @@ class NeuronCoverage {
   std::size_t neuron_count_ = 0;
   nn::Workspace workspace_;  ///< batched-pass buffers, reused across calls
 };
-
-/// Neuron-mask computation over an input pool: batched forwards, clone per
-/// worker across batches; the result order matches `inputs`.
-std::vector<DynamicBitset> neuron_masks(const nn::Sequential& model,
-                                        const Shape& item_shape,
-                                        const std::vector<Tensor>& inputs,
-                                        const NeuronCoverageConfig& config = {});
 
 }  // namespace dnnv::cov
 

@@ -59,8 +59,8 @@ class ParameterCoverage {
   std::vector<DynamicBitset> activation_masks_batched(const Tensor& batch);
 
   /// Into-variant: fills `masks` (resized to the batch size, each bitset
-  /// cleared in place) so a warmed-up caller — Criterion::observe, the
-  /// combined generator's probe loop — allocates no mask storage per batch.
+  /// cleared in place) so a warmed-up caller — the combined generator's
+  /// probe loop — allocates no mask storage per batch.
   void activation_masks_batched(const Tensor& batch,
                                 std::vector<DynamicBitset>& masks);
 
@@ -83,15 +83,6 @@ class ParameterCoverage {
   std::vector<unsigned char> hit_bytes_;     ///< mask_from_grads scratch
   std::vector<std::uint64_t> word_scratch_;  ///< mask_from_grads scratch
 };
-
-/// Computes activation masks for many inputs; the result order matches
-/// `inputs`. Inputs are swept in batches through the batched engine
-/// (one model forward per batch, per-item sensitivity passes); worker
-/// threads each clone the model once and own a contiguous range of batches,
-/// so results are deterministic and identical to the serial sweep.
-std::vector<DynamicBitset> activation_masks(const nn::Sequential& model,
-                                            const std::vector<Tensor>& inputs,
-                                            const CoverageConfig& config = {});
 
 }  // namespace dnnv::cov
 

@@ -4,8 +4,8 @@
 // module makes the fault side of that contract enumerable. A Fault is a
 // structural defect of the executed QuantModel — stuck-at-0/1 on weight and
 // bias code bits, per-channel requant-multiplier corruption, accumulator
-// stuck-at in the MAC epilogue — plus an adapter for today's memory-level
-// ip::MemoryFault kinds. Universes are generated deterministically from a
+// stuck-at in the MAC epilogue — plus the memory-level bit-flip and
+// byte-write kinds of ip::MemoryFault. Universes are generated deterministically from a
 // QuantModel (same model + config => same fault list, same ids): the
 // Deliverable manifest ships only the UniverseConfig and the user side
 // regenerates the universe from it. fault::FaultSimulator scores a universe
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "ip/fault_injector.h"
 #include "quant/quant_model.h"
 #include "util/serialize.h"
 
@@ -62,35 +61,6 @@ struct Fault {
 /// The resulting code byte after a code fault hits `code` (identity for
 /// non-code kinds). Structural collapse keys equivalence on this.
 std::int8_t faulted_code(std::int8_t code, const Fault& fault);
-
-/// Byte layout of the model's parameter codes in QuantizedIp weight-memory
-/// order (weights before bias, per conv/dense layer, layers ascending) —
-/// the bridge between structural Faults and flat memory addresses.
-class FaultLayout {
- public:
-  explicit FaultLayout(const quant::QuantModel& model);
-
-  std::size_t memory_size() const { return total_; }
-
-  /// Flat byte address of a code fault's target.
-  std::size_t flat_address(const Fault& fault) const;
-
-  /// Structural view of a memory-level fault (the ip::MemoryFault adapter).
-  Fault from_memory_fault(const ip::MemoryFault& fault) const;
-
-  /// Memory-level form of a code fault (for ip::FaultInjector campaigns).
-  ip::MemoryFault to_memory_fault(const Fault& fault) const;
-
- private:
-  struct Span {
-    std::uint8_t layer = 0;
-    bool is_bias = false;
-    std::size_t base = 0;
-    std::int64_t size = 0;
-  };
-  std::vector<Span> spans_;
-  std::size_t total_ = 0;
-};
 
 /// Universe generation knobs. Defaults give the classic stuck-at universe
 /// over sign/mid/low weight bits; presets via universe_config().

@@ -241,9 +241,11 @@ std::unique_ptr<Conv2d> Conv2d::load(ByteReader& reader) {
                  layer->config_.kernel > 0 && layer->config_.stride > 0 &&
                  layer->config_.pad >= 0,
              "corrupt conv config");
+  const auto w = reader.read_f32_array(reader.read_count(
+      {layer->config_.out_channels, layer->config_.in_channels,
+       layer->config_.kernel, layer->config_.kernel},
+      sizeof(float)));
   const std::int64_t rows = layer->col_rows();
-  const auto w = reader.read_f32_array(
-      static_cast<std::size_t>(layer->config_.out_channels * rows));
   layer->weights_ = Tensor(Shape{layer->config_.out_channels, rows}, w);
   const auto b = reader.read_f32_array(
       static_cast<std::size_t>(layer->config_.out_channels));

@@ -918,7 +918,15 @@ QuantModel QuantModel::load(ByteReader& reader) {
         for (std::uint64_t s = 0; s < num_scales; ++s) {
           q.wscales.push_back(reader.read_f32());
         }
+        // weight_channels(q) * weight_fanin(q) codes, checked before use.
+        const std::size_t wcount = reader.read_count(
+            q.kind == QLayerKind::kConv2d
+                ? std::vector<std::int64_t>{q.out_channels, q.in_channels,
+                                            q.kernel, q.kernel}
+                : std::vector<std::int64_t>{q.out_features, q.in_features},
+            1);
         const std::uint64_t wsize = reader.read_u64();
+        DNNV_CHECK(wsize == wcount, q.name << ": corrupt parameter sizes");
         const auto wbytes = reader.read_bytes(static_cast<std::size_t>(wsize));
         q.weights.resize(wbytes.size());
         std::memcpy(q.weights.data(), wbytes.data(), wbytes.size());
@@ -927,10 +935,8 @@ QuantModel QuantModel::load(ByteReader& reader) {
         const auto bbytes = reader.read_bytes(static_cast<std::size_t>(bsize));
         q.bias_codes.resize(bbytes.size());
         std::memcpy(q.bias_codes.data(), bbytes.data(), bbytes.size());
-        DNNV_CHECK(static_cast<std::int64_t>(q.weights.size()) ==
-                           weight_channels(q) * weight_fanin(q) &&
-                       static_cast<std::int64_t>(q.bias_codes.size()) ==
-                           weight_channels(q),
+        DNNV_CHECK(static_cast<std::int64_t>(q.bias_codes.size()) ==
+                       weight_channels(q),
                    q.name << ": corrupt parameter sizes");
         if (q.dequant_output) {
           qm.num_classes_ = static_cast<int>(q.out_features);

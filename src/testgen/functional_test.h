@@ -27,7 +27,7 @@ struct FunctionalTest {
 /// One producer-selection decision of the combined method (§IV-D): before
 /// emitting test `step`, the per-test gain of the cached Algorithm 2 probe
 /// batch is compared against the refreshed best marginal gain of
-/// Algorithm 1. Recorded by CombinedGenerator so the switch rule is
+/// Algorithm 1. Recorded by the "combined" method so the switch rule is
 /// observable (and testable) without re-running the generators.
 struct SwitchDecision {
   std::size_t step = 0;          ///< index of the next test to be emitted
@@ -43,7 +43,7 @@ struct GenerationResult {
   std::vector<FunctionalTest> tests;
   std::vector<double> coverage_after;
   double final_coverage = 0.0;
-  /// §IV-D decision trace (CombinedGenerator only; empty otherwise).
+  /// §IV-D decision trace ("combined" only; empty otherwise).
   std::vector<SwitchDecision> decisions;
 };
 

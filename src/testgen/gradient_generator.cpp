@@ -82,47 +82,4 @@ Tensor GradientGenerator::generate_batch_tensor(nn::Sequential& loss_model,
   return batch;
 }
 
-GenerationResult GradientGenerator::generate(
-    const nn::Sequential& model, const Shape& item_shape, int num_classes,
-    cov::CoverageAccumulator& accumulator, cov::Criterion* criterion) const {
-  GenerationResult result;
-  Rng rng(options_.seed);
-  // The historical metric when the caller brings no criterion: parameter-
-  // activation coverage from Options::coverage (bit-identical path).
-  std::unique_ptr<cov::Criterion> fallback;
-  if (criterion == nullptr) {
-    fallback = cov::make_parameter_criterion(model, options_.coverage);
-    criterion = fallback.get();
-  }
-  const bool mask_activated =
-      options_.mask_activated && criterion->parameter_indexed();
-
-  std::vector<DynamicBitset> masks;  ///< storage reused across batches
-  int batch_index = 0;
-  while (static_cast<int>(result.tests.size()) + num_classes <=
-         options_.max_tests) {
-    nn::Sequential loss_model =
-        mask_activated
-            ? masked_model(model, accumulator.covered())
-            : model.clone();
-    const Tensor batch = generate_batch_tensor(loss_model, item_shape,
-                                               num_classes, batch_index, rng);
-    // Coverage is always measured on the TRUE model (Algorithm 2 validates
-    // against the IP that ships, not the masked scratch copy) — one batched
-    // forward for the whole synthetic batch.
-    criterion->measure(batch, masks);
-    for (int i = 0; i < num_classes; ++i) {
-      accumulator.add(masks[static_cast<std::size_t>(i)]);
-      FunctionalTest test;
-      test.input = slice_batch(batch, i);
-      test.source = TestSource::kSynthetic;
-      result.tests.push_back(std::move(test));
-      result.coverage_after.push_back(accumulator.coverage());
-    }
-    ++batch_index;
-  }
-  result.final_coverage = accumulator.coverage();
-  return result;
-}
-
 }  // namespace dnnv::testgen

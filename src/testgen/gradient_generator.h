@@ -10,20 +10,20 @@
 #ifndef DNNV_TESTGEN_GRADIENT_GENERATOR_H_
 #define DNNV_TESTGEN_GRADIENT_GENERATOR_H_
 
-#include "coverage/accumulator.h"
-#include "coverage/criterion.h"
-#include "coverage/parameter_coverage.h"
+#include <vector>
+
 #include "nn/sequential.h"
-#include "testgen/functional_test.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace dnnv::testgen {
 
-/// Algorithm 2 generator.
+/// Algorithm 2 primitives: batch synthesis and the masked loss model. The
+/// "gradient" and "combined" methods of make_generator (generator.h) drive
+/// them; the "gradient" method emits whole k-batches up to its budget.
 class GradientGenerator {
  public:
   struct Options {
-    int max_tests = 50;           ///< Nt (rounded down to whole k-batches)
     int steps = 80;               ///< T — gradient-descent updates per batch
     float learning_rate = 0.5f;   ///< η (applied to the per-sample gradient)
     /// Zero already-activated parameters in the loss model (paper §IV-C's
@@ -48,25 +48,13 @@ class GradientGenerator {
     /// the true model with exact semantics.
     float backward_leak = 0.05f;
     std::uint64_t seed = 7;
-    cov::CoverageConfig coverage;  ///< criterion for the coverage trajectory
   };
 
   explicit GradientGenerator(Options options) : options_(options) {}
 
-  /// Generates batches of k tests until the budget is reached, measuring
-  /// coverage against `model` and updating `accumulator` after each test.
-  /// `criterion` (borrowed, optional) replaces the default parameter-
-  /// activation metric built from Options::coverage: synthesised batches
-  /// are measured by it, and the masked-model steering applies only when
-  /// it is parameter-indexed.
-  GenerationResult generate(const nn::Sequential& model,
-                            const Shape& item_shape, int num_classes,
-                            cov::CoverageAccumulator& accumulator,
-                            cov::Criterion* criterion = nullptr) const;
-
   /// Synthesises one batch of k inputs (class i descending loss toward label
-  /// i) against `loss_model` — exposed for the combined method's probing.
-  /// `batch_index` 0 starts from zeros; later batches jitter their init.
+  /// i) against `loss_model`. `batch_index` 0 starts from zeros; later
+  /// batches jitter their init.
   std::vector<Tensor> generate_batch(nn::Sequential& loss_model,
                                      const Shape& item_shape, int num_classes,
                                      int batch_index, Rng& rng) const;
@@ -83,8 +71,6 @@ class GradientGenerator {
   /// parameters set to zero.
   static nn::Sequential masked_model(const nn::Sequential& model,
                                      const DynamicBitset& covered);
-
-  const Options& options() const { return options_; }
 
  private:
   Options options_;

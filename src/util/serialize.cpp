@@ -49,6 +49,19 @@ void ByteReader::require(std::size_t n, std::size_t elem_size) const {
                                            << ", have " << bytes_.size());
 }
 
+std::size_t ByteReader::read_count(const std::vector<std::int64_t>& dims,
+                                   std::size_t elem_size) const {
+  std::uint64_t count = 1;
+  for (const std::int64_t dim : dims) {
+    DNNV_CHECK(dim >= 0, "negative dimension " << dim << " at offset " << pos_);
+    DNNV_CHECK(!__builtin_mul_overflow(count, static_cast<std::uint64_t>(dim),
+                                       &count),
+               "element count overflows at offset " << pos_);
+  }
+  require(count, elem_size);
+  return static_cast<std::size_t>(count);
+}
+
 std::uint8_t ByteReader::read_u8() {
   require(1);
   return bytes_[pos_++];

@@ -46,6 +46,14 @@ class ByteReader {
   /// Raw byte run (inverse of write_bytes with a known length).
   std::vector<std::uint8_t> read_bytes(std::size_t n);
 
+  /// Element count of a run about to be read whose size a decoder derives
+  /// from decoded dims: their product, multiplied with overflow detection,
+  /// each dim >= 0, and bounded by remaining() / elem_size. Throws
+  /// dnnv::Error otherwise, before the caller sizes any allocation from it.
+  /// Consumes no bytes.
+  std::size_t read_count(const std::vector<std::int64_t>& dims,
+                         std::size_t elem_size) const;
+
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool exhausted() const { return remaining() == 0; }
 

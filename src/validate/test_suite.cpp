@@ -81,6 +81,9 @@ TestSuite TestSuite::load(ByteReader& reader) {
                "implausible dimension");
   }
   const Shape shape{dims};
+  // All count × numel floats must fit the stream before any is allocated.
+  dims.push_back(static_cast<std::int64_t>(count));
+  reader.read_count(dims, sizeof(float));
   TestSuite suite;
   for (std::uint64_t i = 0; i < count; ++i) {
     auto values = reader.read_f32_array(static_cast<std::size_t>(shape.numel()));

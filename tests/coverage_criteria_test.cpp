@@ -1,9 +1,10 @@
-// Coverage-criterion API tests: the registry's built-ins must be
-// bit-identical to the legacy concrete classes (masks, counts and greedy
-// pick order, float and int8, on both zoo models), the registry must fail
-// loudly on unknown/duplicate names, CoverageMap merging must be
-// associative, gains must shrink monotonically under observe, and the
-// criterion name + config must round-trip through a Deliverable manifest.
+// Coverage-criterion API tests: the "parameter" and "neuron" criteria must
+// be bit-identical to the ParameterCoverage / NeuronCoverage classes (masks,
+// counts and greedy pick order, float and int8, on both zoo models),
+// make_criterion must fail loudly on unknown names, CoverageMap merging
+// must be associative, gains must shrink monotonically as an accumulator
+// grows, and the criterion name + config must round-trip through a
+// Deliverable manifest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,11 +23,7 @@
 #include "pipeline/vendor.h"
 #include "quant/quant_model.h"
 #include "tensor/batch.h"
-#include "testgen/combined_generator.h"
 #include "testgen/generator.h"
-#include "testgen/gradient_generator.h"
-#include "testgen/greedy_selector.h"
-#include "testgen/neuron_selector.h"
 #include "util/error.h"
 
 namespace dnnv {
@@ -86,10 +83,7 @@ void expect_identical(const testgen::GenerationResult& a,
 TEST(CriterionRegistryTest, BuiltInsRegistered) {
   const std::vector<std::string> expected = {"parameter", "neuron", "ksection",
                                              "boundary", "topk"};
-  const auto names = cov::criterion_names();
-  ASSERT_GE(names.size(), expected.size());
-  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), names.begin()))
-      << "built-in criteria missing or reordered";
+  EXPECT_EQ(cov::criterion_names(), expected);
   for (const auto& name : expected) {
     EXPECT_TRUE(cov::criterion_registered(name)) << name;
   }
@@ -119,24 +113,6 @@ TEST(CriterionRegistryTest, MissingContextThrows) {
                Error);
   EXPECT_THROW(cov::make_criterion("boundary", small_ctx(model, nullptr)),
                Error);
-}
-
-TEST(CriterionRegistryTest, DuplicateRegisterThrowsUnlessReplace) {
-  const auto factory = [](const cov::CriterionContext& ctx,
-                          const cov::CriterionConfig& config) {
-    return cov::make_criterion("neuron", ctx, config);
-  };
-  cov::register_criterion("custom-criterion", factory);
-  EXPECT_TRUE(cov::criterion_registered("custom-criterion"));
-  EXPECT_THROW(cov::register_criterion("custom-criterion", factory), Error);
-  EXPECT_THROW(cov::register_criterion("parameter", factory), Error);
-  // Explicit replacement is the deliberate override path.
-  cov::register_criterion("custom-criterion", factory, /*replace=*/true);
-
-  const Sequential model = small_relu_net();
-  const auto custom =
-      cov::make_criterion("custom-criterion", small_ctx(model, nullptr));
-  EXPECT_EQ(custom->name(), "neuron");  // delegates to the built-in
 }
 
 // ---------- CoverageMap ----------
@@ -190,48 +166,40 @@ TEST(CoverageMapTest, GainMatchesSetDifference) {
   EXPECT_DOUBLE_EQ(map.fraction(), 0.3);
 }
 
-// ---------- observe / gain monotonicity ----------
+// ---------- gain monotonicity ----------
 
-TEST(CriterionTest, CoverageMonotoneAndGainShrinksUnderObserve) {
+TEST(CriterionTest, CoverageMonotoneAndGainShrinksAsAccumulatorGrows) {
   const Sequential model = small_relu_net();
   const auto pool = random_pool(24);
   for (const char* name : {"parameter", "neuron", "ksection", "topk"}) {
     const auto criterion =
         cov::make_criterion(name, small_ctx(model, &pool));
+    cov::CoverageAccumulator accumulator(criterion->total_points());
     // A fixed candidate whose gain we track while the covered set grows.
     const DynamicBitset candidate =
         criterion->measure(stack_batch({pool.front()})).front();
 
     double last_coverage = 0.0;
-    std::size_t last_gain = criterion->gain(candidate);
-    EXPECT_EQ(last_gain, candidate.count()) << name << ": empty-map gain";
+    std::size_t last_gain = accumulator.marginal_gain(candidate);
+    EXPECT_EQ(last_gain, candidate.count()) << name << ": empty-set gain";
+    std::vector<DynamicBitset> masks;
     for (std::size_t i = 0; i < pool.size(); i += 4) {
       const std::size_t end = std::min(pool.size(), i + 4);
       const std::vector<Tensor> chunk(
           pool.begin() + static_cast<std::ptrdiff_t>(i),
           pool.begin() + static_cast<std::ptrdiff_t>(end));
-      criterion->observe(stack_batch(chunk));
-      EXPECT_GE(criterion->coverage(), last_coverage) << name;
-      last_coverage = criterion->coverage();
-      const std::size_t gain = criterion->gain(candidate);
+      criterion->measure(stack_batch(chunk), masks);
+      for (const auto& mask : masks) accumulator.add(mask);
+      EXPECT_GE(accumulator.coverage(), last_coverage) << name;
+      last_coverage = accumulator.coverage();
+      const std::size_t gain = accumulator.marginal_gain(candidate);
       EXPECT_LE(gain, last_gain) << name << ": gain must shrink";
       last_gain = gain;
     }
-    EXPECT_EQ(criterion->gain(candidate), 0u)
-        << name << ": observed candidate keeps nonzero gain";
-    EXPECT_GT(criterion->coverage(), 0.0) << name;
+    EXPECT_EQ(accumulator.marginal_gain(candidate), 0u)
+        << name << ": measured candidate keeps nonzero gain";
+    EXPECT_GT(accumulator.coverage(), 0.0) << name;
   }
-}
-
-TEST(CriterionTest, ObserveReturnsNewlyCoveredPoints) {
-  const Sequential model = small_relu_net();
-  const auto pool = random_pool(8);
-  const auto criterion =
-      cov::make_criterion("parameter", small_ctx(model, nullptr));
-  const std::size_t first = criterion->observe(stack_batch({pool[0]}));
-  EXPECT_EQ(first, criterion->covered().covered_count());
-  const std::size_t again = criterion->observe(stack_batch({pool[0]}));
-  EXPECT_EQ(again, 0u) << "re-observing the same input adds nothing";
 }
 
 // ---------- adapter bit-identity (float + int8, both zoo models) ----------
@@ -316,28 +284,32 @@ TEST(CriterionAdapterTest, GreedyPickOrderMatchesLegacyOnZooModels) {
 
       testgen::GeneratorConfig config;
       config.max_tests = 12;
-      config.coverage = c.trained.coverage;
 
-      // Legacy greedy over the same target model.
-      testgen::GreedySelector::Options legacy_options;
-      legacy_options.max_tests = config.max_tests;
-      legacy_options.coverage = c.trained.coverage;
-      cov::CoverageAccumulator legacy_accumulator(
-          static_cast<std::size_t>(target.param_count()));
-      const auto legacy = testgen::GreedySelector(legacy_options)
-                              .select(target, c.pool.images,
-                                      legacy_accumulator);
-
-      // Registry greedy selecting by "parameter" criterion gain.
+      // Greedy over masks of the ParameterCoverage class on the same
+      // target model, one input at a time.
       const auto criterion =
           cov::make_criterion("parameter", ctx, criterion_config);
-      cov::CoverageAccumulator accumulator(criterion->total_points());
+      cov::ParameterCoverage legacy_engine(target, c.trained.coverage);
+      std::vector<DynamicBitset> legacy_masks;
+      for (const auto& input : c.pool.images) {
+        legacy_masks.push_back(legacy_engine.activation_mask(input));
+      }
+      cov::CoverageAccumulator legacy_accumulator(
+          static_cast<std::size_t>(target.param_count()));
       testgen::GenContext gen_ctx;
       gen_ctx.model = &target;
       gen_ctx.pool = &c.pool.images;
       gen_ctx.item_shape = c.trained.item_shape;
       gen_ctx.num_classes = c.trained.num_classes;
       gen_ctx.criterion = criterion.get();
+      gen_ctx.masks = &legacy_masks;
+      gen_ctx.accumulator = &legacy_accumulator;
+      const auto legacy =
+          testgen::make_generator("greedy", config)->generate(gen_ctx);
+
+      // The same greedy selecting by the criterion's own pool sweep.
+      cov::CoverageAccumulator accumulator(criterion->total_points());
+      gen_ctx.masks = nullptr;
       gen_ctx.accumulator = &accumulator;
       const auto via_criterion =
           testgen::make_generator("greedy", config)->generate(gen_ctx);
@@ -350,7 +322,7 @@ TEST(CriterionAdapterTest, GreedyPickOrderMatchesLegacyOnZooModels) {
   }
 }
 
-TEST(CriterionAdapterTest, AllFiveGeneratorsBitIdenticalUnderMatchingCriterion) {
+TEST(CriterionAdapterTest, PoolMethodsBitIdenticalOnLegacyClassMasks) {
   // The float master of one zoo model is enough here — the int8 axis and
   // the second model are exercised by the greedy/mask tests above.
   const auto zoo = tiny_options();
@@ -359,66 +331,45 @@ TEST(CriterionAdapterTest, AllFiveGeneratorsBitIdenticalUnderMatchingCriterion) 
 
   testgen::GeneratorConfig config;
   config.max_tests = 10;
-  config.coverage = trained.coverage;
   config.gradient.steps = 6;
 
   cov::CriterionContext ctx;
   ctx.model = &trained.model;
   ctx.item_shape = trained.item_shape;
-  ctx.calibration = &pool.images;
   cov::CriterionConfig criterion_config;
   criterion_config.parameter = trained.coverage;
 
-  for (const char* method : {"greedy", "gradient", "combined", "random"}) {
-    // Legacy path: no criterion in the context.
-    testgen::GenContext legacy_ctx;
-    legacy_ctx.model = &trained.model;
-    legacy_ctx.pool = &pool.images;
-    legacy_ctx.item_shape = trained.item_shape;
-    legacy_ctx.num_classes = trained.num_classes;
-    const auto legacy =
-        testgen::make_generator(method, config)->generate(legacy_ctx);
-
-    // Same run selecting by the matching "parameter" criterion.
-    const auto criterion =
-        cov::make_criterion("parameter", ctx, criterion_config);
-    testgen::GenContext criterion_ctx = legacy_ctx;
-    criterion_ctx.criterion = criterion.get();
-    const auto via_criterion =
-        testgen::make_generator(method, config)->generate(criterion_ctx);
-    SCOPED_TRACE(method);
-    if (std::string(method) == "random") {
-      // Identical selection; the criterion additionally buys the random
-      // control its coverage trajectory (legacy had none without masks).
-      ASSERT_EQ(via_criterion.tests.size(), legacy.tests.size());
-      for (std::size_t i = 0; i < legacy.tests.size(); ++i) {
-        EXPECT_EQ(via_criterion.tests[i].pool_index, legacy.tests[i].pool_index);
-      }
-      EXPECT_TRUE(legacy.coverage_after.empty());
-      EXPECT_EQ(via_criterion.coverage_after.size(),
-                via_criterion.tests.size());
-      continue;
-    }
-    expect_identical(via_criterion, legacy);
+  // Per-input masks of the concrete classes each criterion adapts.
+  nn::Sequential parameter_model = trained.model.clone();
+  cov::ParameterCoverage parameter_engine(parameter_model, trained.coverage);
+  nn::Sequential neuron_model = trained.model.clone();
+  cov::NeuronCoverage neuron_engine(neuron_model, trained.item_shape);
+  std::vector<DynamicBitset> parameter_masks;
+  std::vector<DynamicBitset> neuron_masks;
+  for (const auto& input : pool.images) {
+    parameter_masks.push_back(parameter_engine.activation_mask(input));
+    neuron_masks.push_back(neuron_engine.neuron_mask(input));
   }
 
-  // The "neuron" method's matching criterion is "neuron".
-  {
-    testgen::GenContext legacy_ctx;
-    legacy_ctx.model = &trained.model;
-    legacy_ctx.pool = &pool.images;
-    legacy_ctx.item_shape = trained.item_shape;
-    legacy_ctx.num_classes = trained.num_classes;
-    const auto legacy =
-        testgen::make_generator("neuron", config)->generate(legacy_ctx);
-
-    const auto criterion =
-        cov::make_criterion("neuron", ctx, criterion_config);
-    testgen::GenContext criterion_ctx = legacy_ctx;
-    criterion_ctx.criterion = criterion.get();
+  // Each pool method selects by its matching criterion ("neuron" for the
+  // neuron baseline): its own pool sweep and the class masks must give the
+  // same run.
+  for (const char* method : {"greedy", "combined", "random", "neuron"}) {
+    SCOPED_TRACE(method);
+    const bool neuron = std::string(method) == "neuron";
+    const auto criterion = cov::make_criterion(
+        neuron ? "neuron" : "parameter", ctx, criterion_config);
+    testgen::GenContext gen_ctx;
+    gen_ctx.model = &trained.model;
+    gen_ctx.pool = &pool.images;
+    gen_ctx.item_shape = trained.item_shape;
+    gen_ctx.num_classes = trained.num_classes;
+    gen_ctx.criterion = criterion.get();
     const auto via_criterion =
-        testgen::make_generator("neuron", config)->generate(criterion_ctx);
-    SCOPED_TRACE("neuron");
+        testgen::make_generator(method, config)->generate(gen_ctx);
+    gen_ctx.masks = neuron ? &neuron_masks : &parameter_masks;
+    const auto legacy =
+        testgen::make_generator(method, config)->generate(gen_ctx);
     expect_identical(via_criterion, legacy);
   }
 }

@@ -1,4 +1,5 @@
-// Reference fault simulators for tests and benches. The production engine,
+// Reference fault simulators for tests and benches, and the memory-address
+// view of a fault they inject through (FaultLayout). The production engine,
 // fault::FaultSimulator::run_batched, is differential; these are the two
 // loops it must reproduce bit for bit:
 //   * run_sequential — the literal historical loop: one ip::QuantizedIp,
@@ -26,10 +27,118 @@
 #include "quant/quant_model.h"
 #include "tensor/batch.h"
 #include "util/bitset.h"
+#include "util/error.h"
 #include "util/thread_pool.h"
 #include "validate/test_suite.h"
 
 namespace dnnv::fault_oracles {
+
+/// Byte layout of the model's parameter codes in QuantizedIp weight-memory
+/// order (weights before bias, per conv/dense layer, layers ascending) —
+/// the bridge between structural Faults and flat memory addresses.
+class FaultLayout {
+ public:
+  explicit FaultLayout(const quant::QuantModel& model) {
+    for (std::size_t li = 0; li < model.layers().size(); ++li) {
+      const quant::QLayer& q = model.layers()[li];
+      if (q.kind != quant::QLayerKind::kConv2d &&
+          q.kind != quant::QLayerKind::kDense) {
+        continue;
+      }
+      const std::int64_t channels = quant::weight_channels(q);
+      const std::int64_t fanin = quant::weight_fanin(q);
+      spans_.push_back({static_cast<std::uint8_t>(li), false, total_,
+                        channels * fanin});
+      total_ += static_cast<std::size_t>(channels * fanin);
+      spans_.push_back({static_cast<std::uint8_t>(li), true, total_, channels});
+      total_ += static_cast<std::size_t>(channels);
+    }
+  }
+
+  std::size_t memory_size() const { return total_; }
+
+  /// Flat byte address of a code fault's target.
+  std::size_t flat_address(const fault::Fault& fault) const {
+    DNNV_CHECK(fault::is_code_fault(fault.kind),
+               fault.describe() << " has no memory address");
+    for (const Span& span : spans_) {
+      if (span.layer == fault.layer && span.is_bias == (fault.is_bias != 0)) {
+        DNNV_CHECK(fault.unit >= 0 && fault.unit < span.size,
+                   fault.describe() << ": unit out of range");
+        return span.base + static_cast<std::size_t>(fault.unit);
+      }
+    }
+    DNNV_THROW(fault.describe() << ": no such parameter tensor");
+  }
+
+  /// Structural view of a memory-level fault (the ip::MemoryFault adapter).
+  fault::Fault from_memory_fault(const ip::MemoryFault& fault) const {
+    fault::Fault f;
+    switch (fault.kind) {
+      case ip::MemoryFault::Kind::kBitFlip:
+        f.kind = fault::FaultKind::kBitFlip;
+        break;
+      case ip::MemoryFault::Kind::kStuckAt0:
+        f.kind = fault::FaultKind::kStuckAt0;
+        break;
+      case ip::MemoryFault::Kind::kStuckAt1:
+        f.kind = fault::FaultKind::kStuckAt1;
+        break;
+      case ip::MemoryFault::Kind::kByteWrite:
+        f.kind = fault::FaultKind::kByteWrite;
+        break;
+    }
+    f.bit = static_cast<std::uint8_t>(fault.bit);
+    f.value = fault.value;
+    for (const Span& span : spans_) {
+      if (fault.address >= span.base &&
+          fault.address < span.base + static_cast<std::size_t>(span.size)) {
+        f.layer = span.layer;
+        f.is_bias = span.is_bias ? 1 : 0;
+        f.unit = static_cast<std::int64_t>(fault.address - span.base);
+        return f;
+      }
+    }
+    DNNV_THROW("memory fault address " << fault.address
+                                       << " outside the weight memory ("
+                                       << total_ << " bytes)");
+  }
+
+  /// Memory-level form of a code fault (for ip::FaultInjector campaigns).
+  ip::MemoryFault to_memory_fault(const fault::Fault& fault) const {
+    ip::MemoryFault m;
+    switch (fault.kind) {
+      case fault::FaultKind::kBitFlip:
+        m.kind = ip::MemoryFault::Kind::kBitFlip;
+        break;
+      case fault::FaultKind::kStuckAt0:
+        m.kind = ip::MemoryFault::Kind::kStuckAt0;
+        break;
+      case fault::FaultKind::kStuckAt1:
+        m.kind = ip::MemoryFault::Kind::kStuckAt1;
+        break;
+      case fault::FaultKind::kByteWrite:
+        m.kind = ip::MemoryFault::Kind::kByteWrite;
+        break;
+      default:
+        DNNV_THROW(fault.describe() << " is not a memory-expressible fault");
+    }
+    m.address = flat_address(fault);
+    m.bit = fault.bit;
+    m.value = fault.value;
+    return m;
+  }
+
+ private:
+  struct Span {
+    std::uint8_t layer = 0;
+    bool is_bias = false;
+    std::size_t base = 0;
+    std::int64_t size = 0;
+  };
+  std::vector<Span> spans_;
+  std::size_t total_ = 0;
+};
 
 /// The sequential inject→predict→revert reference loop. Code faults go
 /// through the device's weight memory; requant and accumulator faults have
@@ -48,7 +157,7 @@ inline fault::SimResult run_sequential(const quant::QuantModel& clean,
 
   ip::QuantizedIp device(clean, inputs.front().shape());
   ip::FaultInjector injector(device);
-  const fault::FaultLayout layout(clean);
+  const FaultLayout layout(clean);
   result.clean_labels = device.predict_all(inputs);
   const Tensor batch = stack_batch(inputs);
 

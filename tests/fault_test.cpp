@@ -331,7 +331,7 @@ TEST(FaultModelTest, UniverseConfigLoadRejectsInflatedCount) {
 
 TEST(FaultLayoutTest, MemoryFaultAdapterRoundTrips) {
   const auto qmodel = small_qmodel();
-  const fault::FaultLayout layout(qmodel);
+  const fault_oracles::FaultLayout layout(qmodel);
   EXPECT_EQ(layout.memory_size(),
             static_cast<std::size_t>(qmodel.param_count()));
 

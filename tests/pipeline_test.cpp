@@ -1,8 +1,8 @@
-// Pipeline/API-redesign tests: the generator registry must be bit-identical
-// to the pre-redesign entry points, the ExecutionBackend detection loop must
-// reproduce the historical harnesses, the Deliverable must round-trip (and
-// reject corruption), and the parallel BlackBoxIp::predict_all default must
-// match the serial loop.
+// Pipeline/API tests: make_generator must know its five methods and refuse
+// incomplete contexts (the criterion included), the ExecutionBackend
+// detection loop must reproduce the historical harnesses, the Deliverable
+// must round-trip (and reject corruption), and the parallel
+// BlackBoxIp::predict_all default must match the serial loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +20,8 @@
 #include "pipeline/vendor.h"
 #include "quant/quant_model.h"
 #include "tensor/batch.h"
+#include "coverage/criterion.h"
 #include "testgen/generator.h"
-#include "testgen/gradient_generator.h"
-#include "testgen/greedy_selector.h"
-#include "testgen/neuron_selector.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 #include "validate/backend.h"
@@ -73,17 +71,12 @@ exp::ZooOptions tiny_options() {
   return options;
 }
 
-// ---------- Generator registry ----------
+// ---------- Generator methods ----------
 
 TEST(GeneratorRegistryTest, AllFiveMethodsRegistered) {
   const std::vector<std::string> expected = {"greedy", "gradient", "combined",
                                              "neuron", "random"};
-  // Built-ins register first; custom generators (other tests register one
-  // into the process-wide registry) append after them.
-  const auto names = testgen::generator_names();
-  ASSERT_GE(names.size(), expected.size());
-  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), names.begin()))
-      << "built-in generators missing or reordered";
+  EXPECT_EQ(testgen::generator_names(), expected);
   for (const auto& name : expected) {
     EXPECT_TRUE(testgen::generator_registered(name));
     const auto generator = testgen::make_generator(name);
@@ -94,24 +87,6 @@ TEST(GeneratorRegistryTest, AllFiveMethodsRegistered) {
   EXPECT_THROW(testgen::make_generator("nope"), Error);
 }
 
-TEST(GeneratorRegistryTest, CustomGeneratorsCanRegister) {
-  testgen::register_generator(
-      "custom-empty", [](const testgen::GeneratorConfig&) {
-        class Empty final : public testgen::Generator {
-         public:
-          std::string name() const override { return "custom-empty"; }
-          testgen::GenerationResult generate(
-              const testgen::GenContext&) const override {
-            return {};
-          }
-        };
-        return std::make_unique<Empty>();
-      });
-  EXPECT_TRUE(testgen::generator_registered("custom-empty"));
-  EXPECT_TRUE(
-      testgen::make_generator("custom-empty")->generate({}).tests.empty());
-}
-
 TEST(GeneratorRegistryTest, MissingContextFieldsThrow) {
   const Sequential model = small_relu_net();
   testgen::GenContext ctx;  // everything missing
@@ -120,151 +95,51 @@ TEST(GeneratorRegistryTest, MissingContextFieldsThrow) {
   EXPECT_THROW(testgen::make_generator("combined")->generate(ctx), Error);
   EXPECT_THROW(testgen::make_generator("gradient")->generate(ctx), Error);
   EXPECT_THROW(testgen::make_generator("random")->generate(ctx), Error);
-}
 
-TEST(GeneratorRegistryTest, GreedyMatchesDirectEntryPoint) {
-  const Sequential model = small_relu_net(31);
-  const auto pool = random_pool(30, 32);
-  const auto universe = static_cast<std::size_t>(model.param_count());
-
-  testgen::GreedySelector::Options direct_options;
-  direct_options.max_tests = 12;
-  cov::CoverageAccumulator direct_acc(universe);
-  const auto direct =
-      testgen::GreedySelector(direct_options).select(model, pool, direct_acc);
-
-  testgen::GeneratorConfig config;
-  config.max_tests = 12;
-  cov::CoverageAccumulator registry_acc(universe);
-  testgen::GenContext ctx;
-  ctx.model = &model;
+  // Every other field present, the criterion missing: no method has a
+  // metric of its own, so each must refuse to run.
+  const auto pool = random_pool(8);
   ctx.pool = &pool;
-  ctx.accumulator = &registry_acc;
-  const auto via_registry =
-      testgen::make_generator("greedy", config)->generate(ctx);
-
-  expect_identical(direct, via_registry);
-  EXPECT_EQ(direct_acc.covered_count(), registry_acc.covered_count());
-
-  // With precomputed masks the adapter must route to select_with_masks and
-  // still land on the same picks.
-  const auto masks = cov::activation_masks(model, pool, config.coverage);
-  cov::CoverageAccumulator masked_acc(universe);
-  ctx.masks = &masks;
-  ctx.accumulator = &masked_acc;
-  expect_identical(direct,
-                   testgen::make_generator("greedy", config)->generate(ctx));
-}
-
-TEST(GeneratorRegistryTest, GradientMatchesDirectEntryPoint) {
-  const Sequential model = small_relu_net(41);
-  const auto universe = static_cast<std::size_t>(model.param_count());
-
-  testgen::GradientGenerator::Options direct_options;
-  direct_options.max_tests = 8;
-  direct_options.steps = 15;
-  cov::CoverageAccumulator direct_acc(universe);
-  const auto direct = testgen::GradientGenerator(direct_options)
-                          .generate(model, Shape{6}, 4, direct_acc);
-
-  testgen::GeneratorConfig config;
-  config.max_tests = 8;
-  config.gradient.steps = 15;
-  cov::CoverageAccumulator registry_acc(universe);
-  testgen::GenContext ctx;
-  ctx.model = &model;
   ctx.item_shape = Shape{6};
   ctx.num_classes = 4;
-  ctx.accumulator = &registry_acc;
-  expect_identical(direct,
-                   testgen::make_generator("gradient", config)->generate(ctx));
+  for (const auto& name : testgen::generator_names()) {
+    EXPECT_THROW(testgen::make_generator(name)->generate(ctx), Error) << name;
+  }
 }
 
-TEST(GeneratorRegistryTest, CombinedMatchesDirectEntryPoint) {
+// Benches share one pool sweep across methods through GenContext::masks;
+// a method given those masks must produce exactly the run it produces when
+// it sweeps the pool with the criterion itself.
+TEST(GeneratorRegistryTest, PrecomputedMasksMatchCriterionSweep) {
   const Sequential model = small_relu_net(51);
   const auto pool = random_pool(20, 52);
-  const auto universe = static_cast<std::size_t>(model.param_count());
-
-  testgen::CombinedGenerator::Options direct_options;
-  direct_options.max_tests = 16;
-  direct_options.gradient.steps = 20;
-  cov::CoverageAccumulator direct_acc(universe);
-  const auto direct =
-      testgen::CombinedGenerator(direct_options)
-          .generate(model, pool, Shape{6}, 4, direct_acc);
+  const auto criterion =
+      cov::make_parameter_criterion(model, cov::CoverageConfig{});
+  const auto masks = criterion->measure_pool(pool);
 
   testgen::GeneratorConfig config;
   config.max_tests = 16;
   config.gradient.steps = 20;
-  cov::CoverageAccumulator registry_acc(universe);
   testgen::GenContext ctx;
   ctx.model = &model;
   ctx.pool = &pool;
   ctx.item_shape = Shape{6};
   ctx.num_classes = 4;
-  ctx.accumulator = &registry_acc;
-  const auto via_registry =
-      testgen::make_generator("combined", config)->generate(ctx);
-  expect_identical(direct, via_registry);
-
-  // Decision traces must agree step for step, not just in size.
-  for (std::size_t i = 0; i < direct.decisions.size(); ++i) {
-    EXPECT_EQ(direct.decisions[i].step, via_registry.decisions[i].step);
-    EXPECT_EQ(direct.decisions[i].chose_synthetic,
-              via_registry.decisions[i].chose_synthetic);
-    EXPECT_DOUBLE_EQ(direct.decisions[i].greedy_gain,
-                     via_registry.decisions[i].greedy_gain);
-    EXPECT_DOUBLE_EQ(direct.decisions[i].synthetic_gain,
-                     via_registry.decisions[i].synthetic_gain);
-  }
-}
-
-TEST(GeneratorRegistryTest, NeuronMatchesDirectEntryPoint) {
-  const Sequential model = small_relu_net(61);
-  const auto pool = random_pool(15, 62);
-
-  testgen::NeuronCoverageSelector::Options direct_options;
-  direct_options.max_tests = 10;
-  const auto direct = testgen::NeuronCoverageSelector(direct_options)
-                          .select(model, Shape{6}, pool);
-
-  testgen::GeneratorConfig config;
-  config.max_tests = 10;
-  testgen::GenContext ctx;
-  ctx.model = &model;
-  ctx.pool = &pool;
-  ctx.item_shape = Shape{6};
-  ctx.num_classes = 4;
-  expect_identical(direct,
-                   testgen::make_generator("neuron", config)->generate(ctx));
-}
-
-TEST(GeneratorRegistryTest, RandomMatchesDirectEntryPoint) {
-  const Sequential model = small_relu_net(71);
-  const auto pool = random_pool(12, 72);
-  const auto direct = testgen::RandomSelector(6, 17).select(pool);
-
-  testgen::GeneratorConfig config;
-  config.max_tests = 6;
-  config.random_seed = 17;
-  testgen::GenContext ctx;
-  ctx.pool = &pool;
-  const auto via_registry =
-      testgen::make_generator("random", config)->generate(ctx);
-  expect_identical(direct, via_registry);
-
-  // With masks the control also reports the trajectory Fig 3 plots.
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
-  const auto universe = static_cast<std::size_t>(model.param_count());
-  cov::CoverageAccumulator acc(universe);
-  ctx.model = &model;
-  ctx.masks = &masks;
-  ctx.accumulator = &acc;
-  const auto traced = testgen::make_generator("random", config)->generate(ctx);
-  ASSERT_EQ(traced.coverage_after.size(), traced.tests.size());
-  EXPECT_EQ(traced.final_coverage, acc.coverage());
-  for (std::size_t i = 0; i < traced.tests.size(); ++i) {
-    EXPECT_EQ(traced.tests[i].pool_index, direct.tests[i].pool_index);
+  ctx.criterion = criterion.get();
+  for (const char* name : {"greedy", "combined", "neuron", "random"}) {
+    SCOPED_TRACE(name);
+    const auto generator = testgen::make_generator(name, config);
+    ctx.masks = nullptr;
+    const auto swept = generator->generate(ctx);
+    ctx.masks = &masks;
+    const auto shared = generator->generate(ctx);
+    expect_identical(swept, shared);
+    for (std::size_t i = 0; i < swept.decisions.size(); ++i) {
+      EXPECT_EQ(swept.decisions[i].chose_synthetic,
+                shared.decisions[i].chose_synthetic);
+      EXPECT_DOUBLE_EQ(swept.decisions[i].synthetic_gain,
+                       shared.decisions[i].synthetic_gain);
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "attack/sba.h"
+#include "coverage/criterion.h"
 #include "coverage/parameter_coverage.h"
 #include "exp/model_zoo.h"
 #include "ip/quantized_ip.h"
@@ -696,7 +697,9 @@ TEST(QuantDetectionTest, RunsEndToEndOnInt8Backend) {
 
   // Masks computed on the executed int8 model steer the suite order.
   Sequential ref = shipped.dequantized_reference();
-  const auto masks = cov::activation_masks(ref, pool);
+  const auto masks =
+      cov::make_parameter_criterion(ref, cov::CoverageConfig{})
+          ->measure_pool(pool);
   std::vector<std::pair<std::size_t, std::size_t>> scored;  // (count, index)
   for (std::size_t i = 0; i < masks.size(); ++i) {
     scored.emplace_back(masks[i].count(), i);

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "nn/builder.h"
+#include "nn/conv2d.h"
+#include "nn/dense.h"
 #include "nn/sequential.h"
+#include "quant/quant_model.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -120,6 +123,78 @@ TEST(ZooCacheRobustnessTest, CorruptCacheFallsBackToRetraining) {
   EXPECT_EQ(reader.read_u32(), 0x4F4F5A44u);
   EXPECT_EQ(reader.read_u32(), 1u);
   EXPECT_THROW(reader.read_string(), Error);  // truncated -> throws, not UB
+}
+
+// ---------- decoded dims whose product overflows ----------
+// Each stream carries dims whose element count wraps a signed 64-bit
+// product (to 0 here), followed by too few payload bytes for the real
+// count. The decoders must reject the dims before allocating.
+
+TEST(DecoderOverflowTest, TestSuiteDimsProductOverflowThrows) {
+  ByteWriter writer;
+  writer.write_u64(1);  // one test
+  writer.write_u64(4);  // rank 4
+  for (int d = 0; d < 4; ++d) writer.write_i64(std::int64_t{1} << 19);
+  writer.write_i64(0);  // the golden label; no floats precede it
+  ByteReader reader(writer.take());
+  EXPECT_THROW(validate::TestSuite::load(reader), Error);
+}
+
+TEST(DecoderOverflowTest, DenseWeightCountOverflowThrows) {
+  ByteWriter writer;
+  writer.write_i64(std::int64_t{1} << 62);  // in
+  writer.write_i64(4);                      // out
+  for (int i = 0; i < 4; ++i) writer.write_f32(0.0f);  // the bias only
+  ByteReader reader(writer.take());
+  EXPECT_THROW(nn::Dense::load(reader), Error);
+}
+
+TEST(DecoderOverflowTest, Conv2dWeightCountOverflowThrows) {
+  ByteWriter writer;
+  writer.write_i64(std::int64_t{1} << 62);  // in_channels
+  writer.write_i64(4);                      // out_channels
+  writer.write_i64(1);                      // kernel
+  writer.write_i64(1);                      // stride
+  writer.write_i64(0);                      // pad
+  for (int i = 0; i < 4; ++i) writer.write_f32(0.0f);  // the bias only
+  ByteReader reader(writer.take());
+  EXPECT_THROW(nn::Conv2d::load(reader), Error);
+}
+
+TEST(DecoderOverflowTest, QuantModelWeightCountOverflowThrows) {
+  for (const bool conv : {false, true}) {
+    ByteWriter writer;
+    writer.write_u32(0x384D5144);  // QuantModel magic
+    writer.write_u32(1);           // version
+    writer.write_u8(0);            // weight granularity
+    writer.write_u8(0);            // calibration
+    writer.write_f64(99.99);
+    writer.write_i64(0);
+    writer.write_u8(0);            // no normalize
+    writer.write_u64(1);           // one layer
+    writer.write_u8(static_cast<std::uint8_t>(
+        conv ? quant::QLayerKind::kConv2d : quant::QLayerKind::kDense));
+    writer.write_string("overflow");
+    writer.write_f32(1.0f);  // in_scale
+    writer.write_f32(1.0f);  // out_scale
+    const std::int64_t huge = std::int64_t{1} << 62;
+    writer.write_i64(conv ? huge : 0);  // in_channels
+    writer.write_i64(conv ? 4 : 0);     // out_channels
+    writer.write_i64(conv ? 1 : 0);     // kernel
+    writer.write_i64(conv ? 1 : 0);     // stride
+    writer.write_i64(0);                // pad
+    writer.write_i64(conv ? 0 : huge);  // in_features
+    writer.write_i64(conv ? 0 : 4);     // out_features
+    writer.write_u8(0);                 // dequant_output
+    writer.write_u64(0);                // no per-channel scales
+    writer.write_u64(0);                // weight bytes: the wrapped count
+    writer.write_f32(1.0f);             // bias_scale
+    writer.write_u64(4);                // four bias codes
+    for (int i = 0; i < 4; ++i) writer.write_u8(0);
+    ByteReader reader(writer.take());
+    EXPECT_THROW(quant::QuantModel::load(reader), Error)
+        << (conv ? "conv" : "dense");
+  }
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
 // Test-generation algorithm tests: greedy optimality and laziness, gradient
-// synthesis, the combined switch rule, and the baselines.
+// synthesis, the combined switch rule, and the baselines — every method run
+// through make_generator.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "coverage/criterion.h"
 #include "coverage/parameter_coverage.h"
 #include "nn/builder.h"
 #include "nn/loss.h"
 #include "tensor/batch.h"
-#include "testgen/combined_generator.h"
-#include "testgen/gradient_generator.h"
-#include "testgen/greedy_selector.h"
-#include "testgen/neuron_selector.h"
+#include "testgen/generator.h"
 #include "util/error.h"
 
 namespace dnnv::testgen {
@@ -30,6 +31,36 @@ std::vector<Tensor> random_pool(int count, std::uint64_t seed = 22) {
     pool.push_back(Tensor::rand_uniform(Shape{6}, rng, -1.0f, 1.0f));
   }
   return pool;
+}
+
+/// The pool-item masks of `model` under the paper's "parameter" criterion.
+std::vector<DynamicBitset> pool_masks(const Sequential& model,
+                                      const std::vector<Tensor>& pool) {
+  return cov::make_parameter_criterion(model, cov::CoverageConfig{})
+      ->measure_pool(pool);
+}
+
+/// Runs `method` on the 6-feature, 4-class test nets, selecting by a
+/// `criterion` built over `model`. `pool`, `masks` and `acc` are optional
+/// context fields.
+GenerationResult run(const std::string& method, const GeneratorConfig& config,
+                     const Sequential& model, const std::vector<Tensor>* pool,
+                     cov::CoverageAccumulator* acc = nullptr,
+                     const std::vector<DynamicBitset>* masks = nullptr,
+                     const std::string& criterion = "parameter") {
+  cov::CriterionContext criterion_ctx;
+  criterion_ctx.model = &model;
+  criterion_ctx.item_shape = Shape{6};
+  const auto bound = cov::make_criterion(criterion, criterion_ctx);
+  GenContext ctx;
+  ctx.model = &model;
+  ctx.pool = pool;
+  ctx.masks = masks;
+  ctx.item_shape = Shape{6};
+  ctx.num_classes = 4;
+  ctx.criterion = bound.get();
+  ctx.accumulator = acc;
+  return make_generator(method, config)->generate(ctx);
 }
 
 // Naive Algorithm 1 exactly as printed in the paper (full rescan per round).
@@ -58,15 +89,15 @@ std::vector<std::size_t> naive_greedy(const std::vector<DynamicBitset>& masks,
   return picks;
 }
 
-// ---------- GreedySelector ----------
+// ---------- "greedy" (Algorithm 1) ----------
 
 TEST(GreedySelectorTest, CoverageTrajectoryIsMonotone) {
   Sequential model = small_relu_net();
   const auto pool = random_pool(30);
   cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
-  GreedySelector::Options options;
-  options.max_tests = 10;
-  const auto result = GreedySelector(options).select(model, pool, acc);
+  GeneratorConfig config;
+  config.max_tests = 10;
+  const auto result = run("greedy", config, model, &pool, &acc);
   ASSERT_EQ(result.tests.size(), 10u);
   ASSERT_EQ(result.coverage_after.size(), 10u);
   for (std::size_t i = 1; i < result.coverage_after.size(); ++i) {
@@ -85,17 +116,15 @@ TEST(GreedySelectorTest, LazyGreedyCoverageMatchesNaive) {
   // Algorithm 1 (both are exact greedy maximisers of a submodular gain).
   Sequential model = small_relu_net(31);
   const auto pool = random_pool(40, 32);
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
+  const auto masks = pool_masks(model, pool);
   const auto universe = static_cast<std::size_t>(model.param_count());
 
   const auto naive = naive_greedy(masks, universe, 12);
 
   cov::CoverageAccumulator acc(universe);
-  GreedySelector::Options options;
-  options.max_tests = 12;
-  std::vector<bool> used(pool.size(), false);
-  const auto lazy =
-      GreedySelector(options).select_with_masks(pool, masks, acc, used);
+  GeneratorConfig config;
+  config.max_tests = 12;
+  const auto lazy = run("greedy", config, model, &pool, &acc, &masks);
 
   ASSERT_EQ(lazy.tests.size(), naive.size());
   DynamicBitset naive_covered(universe);
@@ -112,47 +141,33 @@ TEST(GreedySelectorTest, LazyGreedyCoverageMatchesNaive) {
 TEST(GreedySelectorTest, FirstPickHasMaximalSingleCoverage) {
   Sequential model = small_relu_net(41);
   const auto pool = random_pool(25, 42);
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
+  const auto masks = pool_masks(model, pool);
   std::size_t best_count = 0;
   for (const auto& mask : masks) best_count = std::max(best_count, mask.count());
 
   cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
-  GreedySelector::Options options;
-  options.max_tests = 1;
-  std::vector<bool> used(pool.size(), false);
-  const auto result =
-      GreedySelector(options).select_with_masks(pool, masks, acc, used);
+  GeneratorConfig config;
+  config.max_tests = 1;
+  const auto result = run("greedy", config, model, &pool, &acc, &masks);
   ASSERT_EQ(result.tests.size(), 1u);
   EXPECT_EQ(masks[static_cast<std::size_t>(result.tests[0].pool_index)].count(),
             best_count);
-}
-
-TEST(GreedySelectorTest, StopOnZeroGainTerminatesEarly) {
-  Sequential model = small_relu_net(51);
-  // A pool of identical inputs: after the first pick every gain is zero.
-  std::vector<Tensor> pool(8, random_pool(1, 52).front());
-  cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
-  GreedySelector::Options options;
-  options.max_tests = 8;
-  options.stop_on_zero_gain = true;
-  const auto result = GreedySelector(options).select(model, pool, acc);
-  EXPECT_EQ(result.tests.size(), 1u);
 }
 
 TEST(GreedySelectorTest, NeverSelectsSamePoolEntryTwice) {
   Sequential model = small_relu_net(61);
   const auto pool = random_pool(5, 62);
   cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
-  GreedySelector::Options options;
-  options.max_tests = 10;  // more than the pool
-  const auto result = GreedySelector(options).select(model, pool, acc);
+  GeneratorConfig config;
+  config.max_tests = 10;  // more than the pool
+  const auto result = run("greedy", config, model, &pool, &acc);
   EXPECT_EQ(result.tests.size(), 5u);
   std::set<std::int64_t> picked;
   for (const auto& test : result.tests) picked.insert(test.pool_index);
   EXPECT_EQ(picked.size(), 5u);
 }
 
-// ---------- GradientGenerator ----------
+// ---------- Algorithm 2 primitives and "gradient" ----------
 
 TEST(GradientGeneratorTest, SynthesisedBatchTargetsEachClass) {
   Sequential model = small_relu_net(71);
@@ -217,11 +232,10 @@ TEST(GradientGeneratorTest, MaskedModelZeroesCoveredParams) {
 TEST(GradientGeneratorTest, GenerateFillsBudgetInClassBatches) {
   Sequential model = small_relu_net(74);
   cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
-  GradientGenerator::Options options;
-  options.max_tests = 10;  // 2 full batches of k=4 fit
-  options.steps = 20;
-  const auto result =
-      GradientGenerator(options).generate(model, Shape{6}, 4, acc);
+  GeneratorConfig config;
+  config.max_tests = 10;  // 2 full batches of k=4 fit
+  config.gradient.steps = 20;
+  const auto result = run("gradient", config, model, nullptr, &acc);
   EXPECT_EQ(result.tests.size(), 8u);
   for (const auto& test : result.tests) {
     EXPECT_EQ(test.source, TestSource::kSynthetic);
@@ -232,18 +246,17 @@ TEST(GradientGeneratorTest, GenerateFillsBudgetInClassBatches) {
   }
 }
 
-// ---------- CombinedGenerator ----------
+// ---------- "combined" (§IV-D) ----------
 
 TEST(CombinedGeneratorTest, FillsBudgetAndMixesSources) {
   Sequential model = small_relu_net(81);
   const auto pool = random_pool(20, 82);
   cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
-  CombinedGenerator::Options options;
-  options.max_tests = 16;
-  options.gradient.steps = 20;
-  options.gradient.seed = 5;
-  const auto result = CombinedGenerator(options).generate(
-      model, pool, Shape{6}, 4, acc);
+  GeneratorConfig config;
+  config.max_tests = 16;
+  config.gradient.steps = 20;
+  config.gradient.seed = 5;
+  const auto result = run("combined", config, model, &pool, &acc);
   EXPECT_EQ(result.tests.size(), 16u);
   for (std::size_t i = 1; i < result.coverage_after.size(); ++i) {
     EXPECT_GE(result.coverage_after[i], result.coverage_after[i - 1]);
@@ -257,21 +270,20 @@ TEST(CombinedGeneratorTest, AtLeastMatchesGreedyAloneOnFinalCoverage) {
   Sequential model = small_relu_net(91);
   const auto pool = random_pool(20, 92);
   const auto universe = static_cast<std::size_t>(model.param_count());
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
+  const auto masks = pool_masks(model, pool);
 
   cov::CoverageAccumulator greedy_acc(universe);
-  GreedySelector::Options greedy_options;
-  greedy_options.max_tests = 16;
-  std::vector<bool> used(pool.size(), false);
-  const auto greedy = GreedySelector(greedy_options)
-                          .select_with_masks(pool, masks, greedy_acc, used);
+  GeneratorConfig greedy_config;
+  greedy_config.max_tests = 16;
+  const auto greedy =
+      run("greedy", greedy_config, model, &pool, &greedy_acc, &masks);
 
   cov::CoverageAccumulator combined_acc(universe);
-  CombinedGenerator::Options options;
-  options.max_tests = 16;
-  options.gradient.steps = 30;
-  const auto combined = CombinedGenerator(options).generate(
-      model, pool, masks, Shape{6}, 4, combined_acc);
+  GeneratorConfig config;
+  config.max_tests = 16;
+  config.gradient.steps = 30;
+  const auto combined =
+      run("combined", config, model, &pool, &combined_acc, &masks);
 
   EXPECT_GE(combined.final_coverage + 1e-9, greedy.final_coverage);
 }
@@ -281,11 +293,10 @@ TEST(CombinedGeneratorTest, SwitchesToSyntheticWhenPoolExhausted) {
   // Pool of one sample: after it, only Algorithm 2 can add coverage.
   const auto pool = random_pool(1, 94);
   cov::CoverageAccumulator acc(static_cast<std::size_t>(model.param_count()));
-  CombinedGenerator::Options options;
-  options.max_tests = 9;  // 1 pool + 2 batches of 4
-  options.gradient.steps = 10;
-  const auto result = CombinedGenerator(options).generate(
-      model, pool, Shape{6}, 4, acc);
+  GeneratorConfig config;
+  config.max_tests = 9;  // 1 pool + 2 batches of 4
+  config.gradient.steps = 10;
+  const auto result = run("combined", config, model, &pool, &acc);
   ASSERT_EQ(result.tests.size(), 9u);
   int synthetic = 0;
   for (const auto& test : result.tests) {
@@ -306,15 +317,14 @@ TEST(CombinedGeneratorTest, DecisionTraceVerifiesSwitchRuleAndProbeStaleness) {
   // run provably ends in Algorithm 2 (organically or at pool exhaustion).
   const auto pool = random_pool(8, 102);
   const auto universe = static_cast<std::size_t>(model.param_count());
-  const auto masks = cov::activation_masks(model, pool, cov::CoverageConfig{});
+  const auto masks = pool_masks(model, pool);
 
   cov::CoverageAccumulator acc(universe);
-  CombinedGenerator::Options options;
-  options.max_tests = 16;
-  options.probe_refresh = 3;  // tight cadence so staleness logic is exercised
-  options.gradient.steps = 15;
-  const auto result =
-      CombinedGenerator(options).generate(model, pool, masks, Shape{6}, 4, acc);
+  GeneratorConfig config;
+  config.max_tests = 16;
+  config.probe_refresh = 3;  // tight cadence so staleness logic is exercised
+  config.gradient.steps = 15;
+  const auto result = run("combined", config, model, &pool, &acc, &masks);
   ASSERT_FALSE(result.decisions.empty());
 
   // Replay state: the covered set and pool usage as of each decision.
@@ -348,7 +358,7 @@ TEST(CombinedGeneratorTest, DecisionTraceVerifiesSwitchRuleAndProbeStaleness) {
     // (b) staleness cadence: refresh iff no probe yet or probe_refresh
     // greedy commits landed since the last refresh.
     EXPECT_EQ(d.probe_refreshed,
-              !have_probe || commits_since_probe >= options.probe_refresh)
+              !have_probe || commits_since_probe >= config.probe_refresh)
         << "decision " << di;
     if (d.probe_refreshed) {
       have_probe = true;
@@ -386,15 +396,15 @@ TEST(CombinedGeneratorTest, DecisionTraceVerifiesSwitchRuleAndProbeStaleness) {
   }
 }
 
-// ---------- NeuronCoverageSelector / RandomSelector ----------
+// ---------- "neuron" / "random" baselines ----------
 
 TEST(NeuronSelectorTest, SelectsBudgetAndSaturates) {
   Sequential model = small_relu_net(95);
   const auto pool = random_pool(15, 96);
-  NeuronCoverageSelector::Options options;
-  options.max_tests = 10;
+  GeneratorConfig config;
+  config.max_tests = 10;
   const auto result =
-      NeuronCoverageSelector(options).select(model, Shape{6}, pool);
+      run("neuron", config, model, &pool, nullptr, nullptr, "neuron");
   EXPECT_EQ(result.tests.size(), 10u);
   // Neuron coverage of an MLP saturates almost immediately; the trajectory
   // must be monotone and hit its ceiling early.
@@ -407,25 +417,53 @@ TEST(NeuronSelectorTest, SelectsBudgetAndSaturates) {
 TEST(NeuronSelectorTest, NoDuplicatePicks) {
   Sequential model = small_relu_net(97);
   const auto pool = random_pool(12, 98);
-  NeuronCoverageSelector::Options options;
-  options.max_tests = 12;
+  GeneratorConfig config;
+  config.max_tests = 12;
   const auto result =
-      NeuronCoverageSelector(options).select(model, Shape{6}, pool);
+      run("neuron", config, model, &pool, nullptr, nullptr, "neuron");
   std::set<std::int64_t> picked;
   for (const auto& test : result.tests) picked.insert(test.pool_index);
   EXPECT_EQ(picked.size(), result.tests.size());
 }
 
 TEST(RandomSelectorTest, DeterministicAndBounded) {
+  const Sequential model = small_relu_net(99);
   const auto pool = random_pool(9, 99);
-  const auto a = RandomSelector(5, 7).select(pool);
-  const auto b = RandomSelector(5, 7).select(pool);
+  GeneratorConfig config;
+  config.max_tests = 5;
+  config.random_seed = 7;
+  const auto a = run("random", config, model, &pool);
+  const auto b = run("random", config, model, &pool);
   ASSERT_EQ(a.tests.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(a.tests[i].pool_index, b.tests[i].pool_index);
   }
-  const auto all = RandomSelector(50, 7).select(pool);
+  config.max_tests = 50;
+  const auto all = run("random", config, model, &pool);
   EXPECT_EQ(all.tests.size(), 9u);  // clamped to pool size
+}
+
+// Selection never consults coverage; the trajectory is the same whether it
+// comes from precomputed pool masks or from measuring the picks.
+TEST(RandomSelectorTest, TrajectoryFromMasksMatchesMeasuredPicks) {
+  const Sequential model = small_relu_net(71);
+  const auto pool = random_pool(12, 72);
+  const auto masks = pool_masks(model, pool);
+  const auto universe = static_cast<std::size_t>(model.param_count());
+  GeneratorConfig config;
+  config.max_tests = 6;
+
+  cov::CoverageAccumulator acc(universe);
+  const auto traced = run("random", config, model, &pool, &acc, &masks);
+  ASSERT_EQ(traced.coverage_after.size(), traced.tests.size());
+  EXPECT_EQ(traced.final_coverage, acc.coverage());
+
+  const auto measured = run("random", config, model, &pool);
+  ASSERT_EQ(measured.tests.size(), traced.tests.size());
+  for (std::size_t i = 0; i < traced.tests.size(); ++i) {
+    EXPECT_EQ(measured.tests[i].pool_index, traced.tests[i].pool_index);
+  }
+  EXPECT_EQ(measured.coverage_after, traced.coverage_after);
 }
 
 }  // namespace
