@@ -160,6 +160,10 @@ int run_vendor(const CliArgs& args) {
     std::cout << ", int8/float golden agreement " << report.backend_float_agreement
               << "/" << report.generation.tests.size();
   }
+  std::cout << "\ngeneration: " << report.generation.tests.size()
+            << " tests, " << report.generation.probes
+            << " Algorithm 2 probes, " << report.generation.descent_steps
+            << " descent steps";
   if (!report.kernel_config.empty()) {
     std::cout << "\nqualification engine: " << report.kernel_config;
   }

@@ -1,7 +1,7 @@
 // Quickstart — the whole library in one file:
 //   train a DNN, generate functional tests with the paper's combined method,
 //   ship them as an encrypted package, validate the black-box IP, then show
-//   that a fault-injection attack is caught.
+//   whether a fault-injection attack is caught.
 //
 // Build & run:  ./build/quickstart
 // Exits 1 when the generator yields no tests or the intact IP is not SECURE.
@@ -77,7 +77,8 @@ int main() {
   }
 
   // 5. An attacker flips the IP's behaviour with a single-bias fault
-  //    injection (Liu et al., ICCAD'17); re-validation flags it.
+  //    injection (Liu et al., ICCAD'17); re-validation shows whether the
+  //    suite catches it.
   std::cout << "[5] injecting a single-bias attack into the deployed IP...\n";
   Rng rng(7);
   attack::SingleBiasAttack sba;

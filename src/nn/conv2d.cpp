@@ -82,6 +82,26 @@ void Conv2d::forward_into(std::size_t, const Tensor& input, Tensor& output,
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+  const std::int64_t n = cached_input_.shape()[0];
+  const std::int64_t out_plane = cached_out_h_ * cached_out_w_;
+  DNNV_CHECK(grad_output.shape() ==
+                 Shape({n, config_.out_channels, cached_out_h_, cached_out_w_}),
+             "grad_output shape " << grad_output.shape() << " unexpected");
+  const std::int64_t col_stride = col_rows() * out_plane;
+  const std::int64_t out_stride = config_.out_channels * out_plane;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* dy = grad_output.data() + i * out_stride;
+    const float* cols = cached_cols_.data() + i * col_stride;
+    // dW[out_c, ick] += dy[out_c, P] * col^T[P, ick]
+    gemm(false, true, config_.out_channels, col_rows(), out_plane, 1.0f, dy,
+         cols, 1.0f, weight_grad_.data());
+    for (std::int64_t oc = 0; oc < config_.out_channels; ++oc) {
+      const float* plane = dy + oc * out_plane;
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < out_plane; ++p) acc += plane[p];
+      bias_grad_[oc] += acc;
+    }
+  }
   Tensor grad_input(cached_input_.shape());
   backward_into(0, grad_output, grad_input, scratch_ws_);
   return grad_input;
@@ -101,24 +121,13 @@ void Conv2d::backward_into(std::size_t index, const Tensor& grad_output,
   Tensor& col_grad =
       ws.buffer(index, kSlotScratch0, Shape{col_rows(), out_plane});
   const std::int64_t in_stride = config_.in_channels * h * w;
-  const std::int64_t col_stride = col_rows() * out_plane;
   const std::int64_t out_stride = config_.out_channels * out_plane;
 
   for (std::int64_t i = 0; i < n; ++i) {
-    const float* dy = grad_output.data() + i * out_stride;
-    const float* cols = cached_cols_.data() + i * col_stride;
-    // dW[out_c, ick] += dy[out_c, P] * col^T[P, ick]
-    gemm(false, true, config_.out_channels, col_rows(), out_plane, 1.0f, dy,
-         cols, 1.0f, weight_grad_.data());
-    for (std::int64_t oc = 0; oc < config_.out_channels; ++oc) {
-      const float* plane = dy + oc * out_plane;
-      float acc = 0.0f;
-      for (std::int64_t p = 0; p < out_plane; ++p) acc += plane[p];
-      bias_grad_[oc] += acc;
-    }
     // dcol[ick, P] = W^T[ick, out_c] * dy[out_c, P]
     gemm(true, false, col_rows(), out_plane, config_.out_channels, 1.0f,
-         weights_.data(), dy, 0.0f, col_grad.data());
+         weights_.data(), grad_output.data() + i * out_stride, 0.0f,
+         col_grad.data());
     col2im(col_grad.data(), config_.in_channels, h, w, config_.kernel,
            config_.kernel, config_.stride, config_.pad,
            grad_input.data() + i * in_stride);

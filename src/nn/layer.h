@@ -30,7 +30,8 @@ struct ParamView {
 ///   1. forward(x) caches whatever the backward passes need.
 ///   2. backward(grad_out) consumes the cache of the most recent forward and
 ///      ACCUMULATES parameter gradients into the grad buffers; returns the
-///      gradient w.r.t. the layer input.
+///      gradient w.r.t. the layer input. The workspace backward_into is
+///      input-gradient-only: same input gradient, no parameter-grad work.
 ///   3. sensitivity_backward(sens_out) is the absolute-value analogue used by
 ///      the parameter-coverage engine: sens_out is elementwise nonnegative,
 ///      propagation uses |W| and |activation'|, and the resulting parameter
@@ -55,9 +56,9 @@ class Layer {
   // ---- Batched engine entry points (see nn/workspace.h) ----
   //
   // The *_into variants compute the same function as forward/backward/
-  // sensitivity_backward but write into a caller-provided buffer (already
-  // shaped via output_shape) and take scratch from the workspace, so a
-  // warmed-up pass performs no allocations. `index` is the layer's position
+  // sensitivity_backward (backward_into: its input gradient only) but write
+  // into a caller-provided buffer (already shaped via output_shape) and take
+  // scratch from the workspace, so a warmed-up pass performs no allocations. `index` is the layer's position
   // in its Sequential and namespaces its workspace slots. Defaults fall back
   // to the allocating methods — layers override them on the hot paths.
 
@@ -66,7 +67,11 @@ class Layer {
   virtual void forward_into(std::size_t index, const Tensor& input,
                             Tensor& output, Workspace& ws);
 
-  /// Reverse-mode pass into `grad_input` (shaped like the cached input).
+  /// Input-gradient-only reverse pass into `grad_input` (shaped like the
+  /// cached input): the input gradient backward() returns, bit for bit, with
+  /// every parameter-grad buffer left untouched. The default falls back to
+  /// backward(), which is right only for layers without parameters; layers
+  /// with parameters must override it.
   virtual void backward_into(std::size_t index, const Tensor& grad_output,
                              Tensor& grad_input, Workspace& ws);
 

@@ -22,6 +22,14 @@ Tensor softmax(const Tensor& logits);
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  const std::vector<int>& labels);
 
+/// grad_logits of softmax_cross_entropy for rows that are a slice of a
+/// larger batch of `batch_size` items: each row is scaled by 1/batch_size,
+/// not 1/rows, so the result equals those rows of the whole batch's
+/// gradient bit for bit. Writes into `grad` (shaped like `logits`).
+void softmax_cross_entropy_grad(const Tensor& logits,
+                                const std::vector<int>& labels,
+                                std::int64_t batch_size, Tensor& grad);
+
 /// Mean squared error against a dense target of the same shape.
 LossResult mse_loss(const Tensor& output, const Tensor& target);
 

@@ -69,7 +69,9 @@ class Sequential {
   const Tensor& forward_with_activations(const Tensor& input, Workspace& ws,
                                          std::vector<const Tensor*>& activations);
 
-  /// Reverse-mode pass over the most recent workspace forward.
+  /// Input-gradient pass over the most recent workspace forward: returns
+  /// the gradient w.r.t. the model input, bit-identical to backward()'s,
+  /// and does no parameter-gradient work (the grad buffers are untouched).
   const Tensor& backward(const Tensor& grad_logits, Workspace& ws);
 
   /// Absolute-sensitivity pass over the most recent workspace forward.

@@ -2,6 +2,7 @@
 #ifndef DNNV_TESTGEN_FUNCTIONAL_TEST_H_
 #define DNNV_TESTGEN_FUNCTIONAL_TEST_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -45,6 +46,12 @@ struct GenerationResult {
   double final_coverage = 0.0;
   /// §IV-D decision trace ("combined" only; empty otherwise).
   std::vector<SwitchDecision> decisions;
+  /// Algorithm 2 batches synthesised ("gradient" and "combined"; each one
+  /// is a k-item descent of T steps), and the descent steps they ran
+  /// (probes × T). Exact work counts, the host-independent pair to the
+  /// generation wall time.
+  std::int64_t probes = 0;
+  std::int64_t descent_steps = 0;
 };
 
 }  // namespace dnnv::testgen

@@ -155,12 +155,13 @@ class GradientMethod final : public Generator {
     GenerationResult result;
     Rng rng(config_.gradient.seed);
     std::vector<DynamicBitset> masks;  ///< storage reused across batches
-    int batch_index = 0;
     while (static_cast<int>(result.tests.size()) + k <= config_.max_tests) {
       nn::Sequential loss =
           loss_model(model, config_.gradient, criterion, accumulator);
       const Tensor batch = gradient.generate_batch_tensor(
-          loss, ctx.item_shape, k, batch_index, rng);
+          loss, ctx.item_shape, k, static_cast<int>(result.probes), rng);
+      ++result.probes;
+      result.descent_steps += config_.gradient.steps;
       // Coverage is always measured on the TRUE model (Algorithm 2
       // validates against the IP that ships, not the masked scratch copy) —
       // one batched forward for the whole synthetic batch.
@@ -173,7 +174,6 @@ class GradientMethod final : public Generator {
         result.tests.push_back(std::move(test));
         result.coverage_after.push_back(accumulator.coverage());
       }
-      ++batch_index;
     }
     result.final_coverage = accumulator.coverage();
     return result;
@@ -244,14 +244,15 @@ class CombinedMethod final : public Generator {
     // only when committed.
     std::vector<Tensor> probe_inputs;
     std::vector<DynamicBitset> probe_masks;  ///< storage reused across probes
-    int synth_batches = 0;
     int commits_since_probe = 0;
     auto make_probe = [&] {
       nn::Sequential loss =
           loss_model(model, config_.gradient, criterion, accumulator);
       const Tensor probe_batch = gradient.generate_batch_tensor(
-          loss, ctx.item_shape, ctx.num_classes, synth_batches, rng);
-      ++synth_batches;
+          loss, ctx.item_shape, ctx.num_classes,
+          static_cast<int>(result.probes), rng);
+      ++result.probes;
+      result.descent_steps += config_.gradient.steps;
       commits_since_probe = 0;
       probe_inputs.clear();
       for (std::int64_t i = 0; i < probe_batch.shape()[0]; ++i) {

@@ -1,10 +1,14 @@
 #include "testgen/gradient_generator.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "nn/activation_layer.h"
 #include "nn/loss.h"
 #include "nn/workspace.h"
 #include "tensor/batch.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace dnnv::testgen {
 
@@ -59,26 +63,45 @@ Tensor GradientGenerator::generate_batch_tensor(nn::Sequential& loss_model,
     clamp_(batch, options_.clamp_lo, options_.clamp_hi);
   }
 
-  std::vector<int> labels(static_cast<std::size_t>(num_classes));
-  for (int i = 0; i < num_classes; ++i) labels[static_cast<std::size_t>(i)] = i;
-
+  // Items never interact: each one's loss gradient is its own softmax row
+  // scaled by 1/k, every layer maps items independently, and a GEMM row does
+  // not depend on the batch size. So each pool thread descends one
+  // contiguous shard of items for all T steps, on its own clone of the loss
+  // model (taken after the leak is set) and its own Workspace, and the
+  // result is the whole-batch descent's bit for bit at any thread count.
+  const std::int64_t k = num_classes;
+  const std::int64_t item_numel = batch.numel() / k;
+  ThreadPool& pool = ThreadPool::shared();
+  const auto shards = static_cast<std::int64_t>(
+      std::min<std::size_t>(static_cast<std::size_t>(k), pool.num_threads()));
   // Mean-reduced CE divides gradients by k; scale the step so learning_rate
   // acts on per-sample gradients (Algorithm 2 line 7 is per-sample).
-  // The descent runs on the workspace engine: activations and gradient
-  // buffers are allocated once and reused for all T steps.
-  nn::Workspace ws;
   const float step = options_.learning_rate * static_cast<float>(num_classes);
-  for (int t = 0; t < options_.steps; ++t) {
-    const Tensor& logits = loss_model.forward(batch, ws);
-    const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
-    loss_model.zero_grads();
-    const Tensor& grad_input = loss_model.backward(loss.grad_logits, ws);
-    for (std::int64_t i = 0; i < batch.numel(); ++i) {
-      batch[i] -= step * grad_input[i];
+  pool.parallel_for(static_cast<std::size_t>(shards), [&](std::size_t s) {
+    const std::int64_t first = k * static_cast<std::int64_t>(s) / shards;
+    const std::int64_t last = k * static_cast<std::int64_t>(s + 1) / shards;
+    std::vector<std::int64_t> shard_dims = dims;
+    shard_dims[0] = last - first;
+    Tensor x{Shape(shard_dims)};
+    float* rows = batch.data() + first * item_numel;
+    std::copy(rows, rows + x.numel(), x.data());
+    std::vector<int> labels(static_cast<std::size_t>(last - first));
+    std::iota(labels.begin(), labels.end(), static_cast<int>(first));
+    nn::Sequential model = loss_model.clone();
+    nn::Workspace ws;
+    Tensor grad_logits;
+    for (int t = 0; t < options_.steps; ++t) {
+      const Tensor& logits = model.forward(x, ws);
+      grad_logits.resize(logits.shape());
+      nn::softmax_cross_entropy_grad(logits, labels, k, grad_logits);
+      const Tensor& grad_input = model.backward(grad_logits, ws);
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        x[i] -= step * grad_input[i];
+      }
+      clamp_(x, options_.clamp_lo, options_.clamp_hi);
     }
-    clamp_(batch, options_.clamp_lo, options_.clamp_hi);
-  }
-  loss_model.zero_grads();
+    std::copy(x.data(), x.data() + x.numel(), rows);
+  });
   return batch;
 }
 

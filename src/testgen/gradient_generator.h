@@ -61,8 +61,12 @@ class GradientGenerator {
 
   /// Batch-tensor variant of generate_batch: returns the synthesised
   /// [k, item...] tensor un-sliced, ready for the batched coverage engine.
-  /// The descent loop itself runs on the workspace engine (no per-step
-  /// allocations).
+  /// The descent is sharded over ThreadPool::shared(): each thread descends
+  /// a contiguous shard of the k items for all T steps on its own clone of
+  /// `loss_model`, with the workspace engine's input-gradient-only backward
+  /// (no per-step allocations, no parameter-gradient work). The result is
+  /// independent of the thread count, bit for bit. Layers must run in
+  /// inference mode (no dropout masks, no batch-statistic regularisers).
   Tensor generate_batch_tensor(nn::Sequential& loss_model,
                                const Shape& item_shape, int num_classes,
                                int batch_index, Rng& rng) const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/activation_layer.h"
 #include "nn/builder.h"
@@ -14,6 +15,7 @@
 #include "nn/maxpool2d.h"
 #include "nn/normalize.h"
 #include "nn/sequential.h"
+#include "nn/workspace.h"
 #include "tensor/batch.h"
 #include "util/error.h"
 
@@ -203,6 +205,77 @@ TEST(NormalizeTest, CentresAndScales) {
 
 TEST(NormalizeTest, ZeroScaleRejected) {
   EXPECT_THROW(Normalize(0.5f, 0.0f), Error);
+}
+
+// ---------- Workspace backward contract ----------
+
+// The workspace backward_into is input-gradient-only: it returns the
+// allocating backward's input gradient bit for bit and never writes a
+// parameter-grad buffer (each is pre-filled with a sentinel).
+void expect_input_only_backward(const Layer& layer, const Tensor& input,
+                                const Tensor& grad_output) {
+  const auto reference = layer.clone();
+  reference->forward(input);
+  const Tensor expected = reference->backward(grad_output);
+
+  const auto layer_copy = layer.clone();
+  constexpr float kSentinel = -1234.5f;
+  for (const auto& view : layer_copy->param_views()) {
+    for (std::int64_t i = 0; i < view.size; ++i) view.grad[i] = kSentinel;
+  }
+  Workspace ws;
+  Tensor output(layer_copy->output_shape(input.shape()));
+  layer_copy->forward_into(0, input, output, ws);
+  Tensor grad_input(input.shape());
+  layer_copy->backward_into(0, grad_output, grad_input, ws);
+
+  ASSERT_EQ(grad_input.shape(), expected.shape());
+  EXPECT_EQ(std::memcmp(grad_input.data(), expected.data(),
+                        static_cast<std::size_t>(expected.numel()) *
+                            sizeof(float)),
+            0);
+  for (const auto& view : layer_copy->param_views()) {
+    for (std::int64_t i = 0; i < view.size; ++i) {
+      ASSERT_EQ(view.grad[i], kSentinel) << view.name << "[" << i << "]";
+    }
+  }
+  // The allocating path still accumulates parameter gradients.
+  float grad_mass = 0.0f;
+  for (const auto& view : reference->param_views()) {
+    for (std::int64_t i = 0; i < view.size; ++i) {
+      grad_mass += std::fabs(view.grad[i]);
+    }
+  }
+  EXPECT_GT(grad_mass, 0.0f);
+}
+
+TEST(WorkspaceBackwardTest, DenseIsInputGradientOnly) {
+  Rng rng(60);
+  Dense dense(7, 5, rng);
+  Rng data_rng(61);
+  expect_input_only_backward(
+      dense, Tensor::rand_uniform(Shape{3, 7}, data_rng, -1.0f, 1.0f),
+      Tensor::rand_uniform(Shape{3, 5}, data_rng, -1.0f, 1.0f));
+}
+
+TEST(WorkspaceBackwardTest, Conv2dIsInputGradientOnly) {
+  Rng rng(62);
+  for (const std::int64_t stride : {1, 2}) {
+    Conv2d::Config config;
+    config.in_channels = 2;
+    config.out_channels = 4;
+    config.kernel = 3;
+    config.stride = stride;
+    config.pad = 1;
+    Conv2d conv(config, rng);
+    Rng data_rng(63);
+    const Tensor input =
+        Tensor::rand_uniform(Shape{3, 2, 7, 7}, data_rng, -1.0f, 1.0f);
+    expect_input_only_backward(
+        conv, input,
+        Tensor::rand_uniform(conv.output_shape(input.shape()), data_rng, -1.0f,
+                             1.0f));
+  }
 }
 
 // ---------- Gradient checks (property sweeps) ----------

@@ -2,9 +2,12 @@
 // and training convergence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
+#include "exp/model_zoo.h"
 #include "nn/activation_layer.h"
 #include "nn/builder.h"
 #include "nn/dense.h"
@@ -130,6 +133,57 @@ TEST(SequentialTest, PredictLabelsMatchArgmax) {
 
 // ---------- Losses ----------
 
+// The workspace backward of a zoo model is input-gradient-only: the model
+// input gradient equals the allocating backward's bit for bit, and no
+// parameter-grad buffer is written (each is pre-filled with a sentinel).
+TEST(SequentialTest, WorkspaceBackwardIsInputGradientOnlyOnZooModels) {
+  exp::ZooOptions zoo;
+  zoo.tiny = true;
+  zoo.cache_dir =
+      (std::filesystem::temp_directory_path() / "dnnv_test_zoo").string();
+  struct Case {
+    exp::TrainedModel trained;
+    data::MaterializedData data;
+  };
+  std::vector<Case> cases;
+  cases.push_back({exp::mnist_tanh(zoo), exp::digits_test(3)});
+  cases.push_back({exp::cifar_relu(zoo), exp::shapes_test(3)});
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.trained.name);
+    Sequential& model = c.trained.model;
+    const Tensor batch = stack_batch(c.data.images);
+    for (std::size_t l = 0; l < model.num_layers(); ++l) {
+      if (auto* act = dynamic_cast<ActivationLayer*>(&model.layer(l))) {
+        act->set_backward_leak(0.05f);  // as Algorithm 2's loss model
+      }
+    }
+
+    Sequential reference = model.clone();
+    const LossResult loss =
+        softmax_cross_entropy(reference.forward(batch), c.data.labels);
+    reference.zero_grads();
+    const Tensor expected = reference.backward(loss.grad_logits);
+
+    constexpr float kSentinel = -1234.5f;
+    for (const auto& view : model.param_views()) {
+      for (std::int64_t i = 0; i < view.size; ++i) view.grad[i] = kSentinel;
+    }
+    Workspace ws;
+    model.forward(batch, ws);
+    const Tensor& grad_input = model.backward(loss.grad_logits, ws);
+    ASSERT_EQ(grad_input.shape(), expected.shape());
+    EXPECT_EQ(std::memcmp(grad_input.data(), expected.data(),
+                          static_cast<std::size_t>(expected.numel()) *
+                              sizeof(float)),
+              0);
+    for (const auto& view : model.param_views()) {
+      for (std::int64_t i = 0; i < view.size; ++i) {
+        ASSERT_EQ(view.grad[i], kSentinel) << view.name << "[" << i << "]";
+      }
+    }
+  }
+}
+
 TEST(LossTest, SoftmaxRowsSumToOne) {
   const Tensor logits(Shape{2, 3}, {1, 2, 3, -1, 0, 1});
   const Tensor probs = softmax(logits);
@@ -162,6 +216,28 @@ TEST(LossTest, CrossEntropyGradientSignsAndSum) {
   EXPECT_NEAR(total, 0.0, 1e-6);
   EXPECT_LT(result.grad_logits[1], 0.0f);
   EXPECT_GT(result.grad_logits[0], 0.0f);
+}
+
+// A row slice's gradient, scaled by the whole batch's 1/N, equals those rows
+// of the whole batch's gradient bit for bit.
+TEST(LossTest, SliceGradientMatchesWholeBatchRows) {
+  Rng rng(14);
+  const Tensor logits = Tensor::rand_uniform(Shape{5, 4}, rng, -3.0f, 3.0f);
+  const std::vector<int> labels = {0, 3, 1, 2, 3};
+  const LossResult whole = softmax_cross_entropy(logits, labels);
+  for (std::int64_t first = 0; first < 5; first += 2) {
+    const std::int64_t rows = std::min<std::int64_t>(2, 5 - first);
+    Tensor slice(Shape{rows, 4});
+    std::copy(logits.data() + first * 4, logits.data() + (first + rows) * 4,
+              slice.data());
+    const std::vector<int> slice_labels(labels.begin() + first,
+                                        labels.begin() + first + rows);
+    Tensor grad(slice.shape());
+    softmax_cross_entropy_grad(slice, slice_labels, 5, grad);
+    EXPECT_EQ(std::memcmp(grad.data(), whole.grad_logits.data() + first * 4,
+                          static_cast<std::size_t>(rows * 4) * sizeof(float)),
+              0);
+  }
 }
 
 TEST(LossTest, CrossEntropyValidatesLabels) {

@@ -3,10 +3,14 @@
 // through make_generator.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <set>
 
 #include "coverage/criterion.h"
 #include "coverage/parameter_coverage.h"
+#include "exp/model_zoo.h"
+#include "nn/activation_layer.h"
 #include "nn/builder.h"
 #include "nn/loss.h"
 #include "tensor/batch.h"
@@ -87,6 +91,100 @@ std::vector<std::size_t> naive_greedy(const std::vector<DynamicBitset>& masks,
     picks.push_back(best);
   }
   return picks;
+}
+
+exp::ZooOptions tiny_options() {
+  exp::ZooOptions options;
+  options.tiny = true;
+  options.cache_dir =
+      (std::filesystem::temp_directory_path() / "dnnv_test_zoo").string();
+  return options;
+}
+
+/// A tiny zoo model with a matching training-pool slice.
+struct ZooCase {
+  exp::TrainedModel trained;
+  data::MaterializedData pool;
+};
+
+std::vector<ZooCase> zoo_cases(std::int64_t pool_size) {
+  const auto zoo = tiny_options();
+  std::vector<ZooCase> cases;
+  cases.push_back({exp::mnist_tanh(zoo), exp::digits_train(pool_size)});
+  cases.push_back({exp::cifar_relu(zoo), exp::shapes_train(pool_size)});
+  return cases;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+// Reference oracle for GradientGenerator::generate_batch_tensor: the
+// whole-batch Algorithm 2 descent on one model, one thread — forward,
+// mean softmax cross-entropy over all k items, zero_grads, and the full
+// allocating backward (parameter gradients included) every step.
+Tensor whole_batch_descent(const GradientGenerator::Options& options,
+                           Sequential& loss_model, const Shape& item_shape,
+                           int num_classes, int batch_index, Rng& rng) {
+  if (options.backward_leak != 0.0f) {
+    for (std::size_t l = 0; l < loss_model.num_layers(); ++l) {
+      if (auto* act =
+              dynamic_cast<nn::ActivationLayer*>(&loss_model.layer(l))) {
+        act->set_backward_leak(options.backward_leak);
+      }
+    }
+  }
+  std::vector<std::int64_t> dims;
+  dims.push_back(num_classes);
+  dims.insert(dims.end(), item_shape.dims().begin(), item_shape.dims().end());
+  Tensor batch{Shape(dims)};
+  if (batch_index > 0 && options.init_stddev > 0.0f) {
+    for (std::int64_t i = 0; i < batch.numel(); ++i) {
+      batch[i] = static_cast<float>(
+          rng.normal(0.0, static_cast<double>(options.init_stddev)));
+    }
+    clamp_(batch, options.clamp_lo, options.clamp_hi);
+  }
+  std::vector<int> labels(static_cast<std::size_t>(num_classes));
+  for (int i = 0; i < num_classes; ++i) labels[static_cast<std::size_t>(i)] = i;
+  const float step = options.learning_rate * static_cast<float>(num_classes);
+  for (int t = 0; t < options.steps; ++t) {
+    const Tensor logits = loss_model.forward(batch);
+    const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
+    loss_model.zero_grads();
+    const Tensor grad_input = loss_model.backward(loss.grad_logits);
+    for (std::int64_t i = 0; i < batch.numel(); ++i) {
+      batch[i] -= step * grad_input[i];
+    }
+    clamp_(batch, options.clamp_lo, options.clamp_hi);
+  }
+  loss_model.zero_grads();
+  return batch;
+}
+
+/// Runs the sharded descent and the oracle from the same model and RNG
+/// state; expects bit-identical batches and the same RNG state after.
+void expect_descent_matches_oracle(const GradientGenerator::Options& options,
+                                   const Sequential& loss_model,
+                                   const Shape& item_shape, int num_classes,
+                                   int batch_index, std::uint64_t seed) {
+  Sequential sharded_model = loss_model.clone();
+  Rng sharded_rng(seed);
+  const Tensor sharded = GradientGenerator(options).generate_batch_tensor(
+      sharded_model, item_shape, num_classes, batch_index, sharded_rng);
+  Sequential oracle_model = loss_model.clone();
+  Rng oracle_rng(seed);
+  const Tensor oracle = whole_batch_descent(
+      options, oracle_model, item_shape, num_classes, batch_index, oracle_rng);
+  EXPECT_TRUE(bitwise_equal(sharded, oracle))
+      << "k=" << num_classes << " batch_index=" << batch_index;
+  EXPECT_EQ(sharded_rng.next_u64(), oracle_rng.next_u64());
+  // The descent moved the zero init: the comparison is not of two zero
+  // batches.
+  if (batch_index == 0) EXPECT_GT(max_abs(oracle), 0.0f);
 }
 
 // ---------- "greedy" (Algorithm 1) ----------
@@ -246,6 +344,49 @@ TEST(GradientGeneratorTest, GenerateFillsBudgetInClassBatches) {
   }
 }
 
+// The item-sharded, input-gradient-only descent equals the whole-batch
+// descent with full backward bit for bit, masked and unmasked, from zeros
+// and from jitter, on both tiny zoo models.
+TEST(GradientGeneratorTest, DescentMatchesWholeBatchOracleOnZooModels) {
+  for (const auto& c : zoo_cases(1)) {
+    SCOPED_TRACE(c.trained.name);
+    // Every third parameter covered: a mask that leaves gradient paths open
+    // through every layer.
+    DynamicBitset covered(
+        static_cast<std::size_t>(c.trained.model.param_count()));
+    for (std::size_t bit = 0; bit < covered.size(); bit += 3) covered.set(bit);
+
+    GradientGenerator::Options options;
+    options.steps = 12;
+    for (const bool mask_activated : {true, false}) {
+      SCOPED_TRACE("mask_activated=" + std::to_string(mask_activated));
+      const Sequential loss_model =
+          mask_activated
+              ? GradientGenerator::masked_model(c.trained.model, covered)
+              : c.trained.model.clone();
+      for (const int batch_index : {0, 1}) {
+        expect_descent_matches_oracle(options, loss_model, c.trained.item_shape,
+                                      c.trained.num_classes, batch_index, 31);
+      }
+    }
+  }
+}
+
+// Uneven shards and fewer items than pool threads run the same arithmetic.
+TEST(GradientGeneratorTest, DescentMatchesWholeBatchOracleForAnyItemCount) {
+  for (const int k : {2, 3, 4, 10}) {
+    Rng rng(static_cast<std::uint64_t>(40 + k));
+    Sequential model = nn::build_mlp(6, {10, 8}, k, ActivationKind::kReLU, rng);
+    GradientGenerator::Options options;
+    options.steps = 25;
+    options.learning_rate = 0.1f;
+    for (const int batch_index : {0, 1}) {
+      expect_descent_matches_oracle(options, model, Shape{6}, k, batch_index,
+                                    static_cast<std::uint64_t>(k));
+    }
+  }
+}
+
 // ---------- "combined" (§IV-D) ----------
 
 TEST(CombinedGeneratorTest, FillsBudgetAndMixesSources) {
@@ -303,6 +444,54 @@ TEST(CombinedGeneratorTest, SwitchesToSyntheticWhenPoolExhausted) {
     if (test.source == TestSource::kSynthetic) ++synthetic;
   }
   EXPECT_EQ(synthetic, 8);
+}
+
+// Exact work counts on both tiny zoo models: each probe is one T-step
+// descent; "gradient" synthesises whole k-batches; "combined" makes the
+// probes its decision trace regenerated plus one per k-batch it commits
+// after the switch. The six-sample pool forces the switch at exhaustion.
+TEST(CombinedGeneratorTest, WorkCountsMatchDecisionTraceOnZooModels) {
+  for (const auto& c : zoo_cases(6)) {
+    SCOPED_TRACE(c.trained.name);
+    const auto criterion =
+        cov::make_parameter_criterion(c.trained.model, c.trained.coverage);
+    GenContext ctx;
+    ctx.model = &c.trained.model;
+    ctx.pool = &c.pool.images;
+    ctx.item_shape = c.trained.item_shape;
+    ctx.num_classes = c.trained.num_classes;
+    ctx.criterion = criterion.get();
+    GeneratorConfig config;
+    config.max_tests = 36;
+    config.probe_refresh = 2;
+    config.gradient.steps = 6;
+    const auto k = static_cast<std::size_t>(c.trained.num_classes);
+
+    const auto combined = make_generator("combined", config)->generate(ctx);
+    ASSERT_EQ(combined.tests.size(), 36u);
+    ASSERT_TRUE(combined.decisions.back().chose_synthetic);
+    std::int64_t refreshed = 0;
+    for (const auto& d : combined.decisions) refreshed += d.probe_refreshed;
+    const std::size_t after_switch_commit =
+        std::min(combined.tests.size(), combined.decisions.back().step + k);
+    const auto after_switch = static_cast<std::int64_t>(
+        (combined.tests.size() - after_switch_commit + k - 1) / k);
+    EXPECT_GT(after_switch, 0);
+    EXPECT_EQ(combined.probes, refreshed + after_switch);
+    EXPECT_EQ(combined.descent_steps,
+              combined.probes * config.gradient.steps);
+
+    const auto gradient = make_generator("gradient", config)->generate(ctx);
+    EXPECT_EQ(gradient.probes,
+              static_cast<std::int64_t>(gradient.tests.size() / k));
+    EXPECT_EQ(gradient.probes, 3);
+    EXPECT_EQ(gradient.descent_steps,
+              gradient.probes * config.gradient.steps);
+
+    const auto greedy = make_generator("greedy", config)->generate(ctx);
+    EXPECT_EQ(greedy.probes, 0);
+    EXPECT_EQ(greedy.descent_steps, 0);
+  }
 }
 
 // Satellite check for the §IV-D machinery: replay the recorded decision
