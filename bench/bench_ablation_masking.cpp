@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv, {"budget", "paper-scale", "retrain"});
   const int budget = args.get_int("budget", 50);
   bench::banner("bench_ablation_masking",
-                "DESIGN.md §5.3 — Algorithm 2 masked-subnetwork targeting");
+                "paper Algorithm 2 — masked-subnetwork targeting");
 
   const auto options = bench::zoo_options(args);
   for (const bool use_mnist : {false, true}) {

@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: GEMM, conv
-// forward/backward, the two coverage passes, and bitset set algebra.
+// forward/backward, the coverage pass against the per-class exact oracle,
+// and bitset set algebra.
 //
 // On top of google-benchmark's own flags (--benchmark_filter,
 // --benchmark_min_time, ...) this main speaks the repo's BENCH_*.json
@@ -21,6 +22,7 @@
 #include "nn/loss.h"
 #include "tensor/batch.h"
 #include "tensor/gemm.h"
+#include "tests/coverage_oracles.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 
@@ -90,14 +92,14 @@ void BM_CoverageMask(benchmark::State& state) {
   const bool exact = state.range(0) != 0;
   Rng rng(6);
   auto model = bench_convnet(rng);
-  cov::CoverageConfig config;
-  config.engine = exact ? cov::CoverageEngine::kPerClassExact
-                        : cov::CoverageEngine::kAbsSensitivity;
-  cov::ParameterCoverage coverage(model, config);
+  cov::ParameterCoverage coverage(model, cov::CoverageConfig{});
   Rng data_rng(7);
   const Tensor input = Tensor::rand_uniform(Shape{3, 32, 32}, data_rng, 0.0f, 1.0f);
   for (auto _ : state) {
-    DynamicBitset mask = coverage.activation_mask(input);
+    // exact:1 times the per-class oracle of tests/coverage_oracles.h.
+    DynamicBitset mask =
+        exact ? coverage_oracles::per_class_exact_mask(model, input)
+              : coverage.activation_mask(input);
     benchmark::DoNotOptimize(mask.count());
   }
 }

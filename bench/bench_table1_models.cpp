@@ -2,8 +2,9 @@
 //
 // Paper: MNIST/Tanh CNN at 98.9% and CIFAR-10/ReLU CNN at 84.26% accuracy.
 // Here: the same topologies (conv-conv-pool ×2 -> dense -> logits) trained on
-// the synthetic stand-in datasets (see DESIGN.md §2); channel counts are
-// CPU-scaled by default (--paper-scale builds Table I's exact widths).
+// the synthetic stand-in datasets (src/data/shapes.h, src/data/digits.h);
+// channel counts are CPU-scaled by default (--paper-scale builds Table I's
+// exact widths).
 #include <iostream>
 
 #include "bench/bench_common.h"

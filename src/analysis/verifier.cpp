@@ -90,10 +90,10 @@ void check_param_layer(FindingSink& sink, std::size_t li, const QLayer& q) {
     sink.add(Severity::kError, "weight-size", loc, "bias holds ",
              q.bias_codes.size(), " codes, geometry needs ", channels);
   }
-  if (q.wscales.size() != 1 &&
-      static_cast<std::int64_t>(q.wscales.size()) != channels) {
+  if (static_cast<std::int64_t>(q.wscales.size()) != channels) {
     sink.add(Severity::kError, "weight-size", loc, "wscales holds ",
-             q.wscales.size(), " entries, expected 1 or ", channels);
+             q.wscales.size(), " entries, expected one per channel (",
+             channels, ")");
   }
   for (const float s : q.wscales) {
     if (!finite_positive(s)) {
@@ -151,7 +151,7 @@ void check_param_layer(FindingSink& sink, std::size_t li, const QLayer& q) {
   // clamp silently rewrites the layer's affine map.
   for (std::size_t c = 0;
        c < q.bias_codes.size() &&
-       static_cast<std::int64_t>(c) < channels && !q.wscales.empty();
+       static_cast<std::int64_t>(c) < channels && c < q.wscales.size();
        ++c) {
     const double acc_scale =
         static_cast<double>(q.in_scale) *

@@ -19,16 +19,30 @@ namespace {
 /// per-layer activation buffers stay cache-resident.
 constexpr std::size_t kMaskBatch = 16;
 
+/// The manifest byte that once selected the parameter engine; only the
+/// absolute-sensitivity engine (tag 0) exists.
+constexpr std::uint8_t kAbsSensitivityTag = 0;
+
+/// Checks one manifest count against [1, max]; save() and load() share it
+/// so a vendor cannot ship a manifest its users cannot load.
+int checked_count(std::int64_t value, const char* name, int max) {
+  DNNV_CHECK(value > 0 && value <= max,
+             "criterion " << name << " " << value << " outside [1, " << max
+                          << "]");
+  return static_cast<int>(value);
+}
+
 }  // namespace
 
 // ---------------- CriterionConfig ----------------
 
 void CriterionConfig::save(ByteWriter& writer) const {
-  writer.write_u8(static_cast<std::uint8_t>(parameter.engine));
+  writer.write_u8(kAbsSensitivityTag);
   writer.write_f64(parameter.epsilon);
   writer.write_f64(neuron_threshold);
-  writer.write_i64(sections);
-  writer.write_i64(top_k);
+  writer.write_i64(checked_count(sections, "sections", kMaxSections));
+  writer.write_i64(
+      checked_count(top_k, "top_k", std::numeric_limits<int>::max()));
   writer.write_u64(range_low.size());
   writer.write_f32_array(range_low.data(), range_low.size());
   writer.write_u64(range_high.size());
@@ -38,13 +52,16 @@ void CriterionConfig::save(ByteWriter& writer) const {
 CriterionConfig CriterionConfig::load(ByteReader& reader) {
   CriterionConfig config;
   const std::uint8_t engine = reader.read_u8();
-  DNNV_CHECK(engine <= static_cast<std::uint8_t>(CoverageEngine::kPerClassExact),
-             "bad coverage engine tag " << static_cast<int>(engine));
-  config.parameter.engine = static_cast<CoverageEngine>(engine);
+  DNNV_CHECK(engine == kAbsSensitivityTag,
+             "unsupported coverage engine tag "
+                 << static_cast<int>(engine)
+                 << " (only the absolute-sensitivity engine, "
+                 << static_cast<int>(kAbsSensitivityTag) << ", is supported)");
   config.parameter.epsilon = reader.read_f64();
   config.neuron_threshold = reader.read_f64();
-  config.sections = static_cast<int>(reader.read_i64());
-  config.top_k = static_cast<int>(reader.read_i64());
+  config.sections = checked_count(reader.read_i64(), "sections", kMaxSections);
+  config.top_k = checked_count(reader.read_i64(), "top_k",
+                               std::numeric_limits<int>::max());
   // Count fields sit early in a deliverable payload, so a wrong key decodes
   // them as garbage; read_f32_array bounds the count against the remaining
   // bytes before allocating, so that fails with dnnv::Error.
@@ -158,11 +175,8 @@ class ParameterCriterion final : public Criterion {
   std::string describe() const override {
     std::ostringstream os;
     os << "parameter-activation coverage (|grad| > "
-       << config_.parameter.epsilon << ", "
-       << (config_.parameter.engine == CoverageEngine::kAbsSensitivity
-               ? "abs-sensitivity"
-               : "per-class exact")
-       << " engine) over " << total_points() << " parameters";
+       << config_.parameter.epsilon
+       << ", abs-sensitivity engine) over " << total_points() << " parameters";
     return os.str();
   }
 
@@ -428,7 +442,9 @@ class KSectionCriterion final : public NeuronValueCriterion {
                     const CriterionConfig& config,
                     const std::vector<Tensor>* calibration)
       : NeuronValueCriterion(std::move(model), item_shape, config) {
-    DNNV_CHECK(config_.sections > 0, "'ksection' needs sections > 0");
+    DNNV_CHECK(config_.sections > 0 && config_.sections <= kMaxSections,
+               "'ksection' needs sections in [1, " << kMaxSections << "], got "
+                                                  << config_.sections);
     resolve_ranges("ksection", calibration);
   }
 };

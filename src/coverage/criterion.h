@@ -41,20 +41,25 @@ class QuantModel;
 
 namespace dnnv::cov {
 
+/// Upper bound on CriterionConfig::sections. "ksection" sizes its point
+/// universe as neurons × sections, so an unbounded count read from a shipped
+/// manifest would size gigabyte coverage maps.
+inline constexpr int kMaxSections = 1000;
+
 /// One config for every criterion — a superset of the per-criterion knobs
 /// (the GeneratorConfig idiom). Serialisable, so a Deliverable manifest
 /// round-trips the exact criterion a suite was generated under.
 struct CriterionConfig {
-  /// "parameter": activation engine + |gradient| threshold.
+  /// "parameter": |gradient| threshold.
   CoverageConfig parameter;
   /// Neuron-family activation threshold ("neuron"; also the DeepXplore-style
   /// value extraction every neuron-family criterion shares: dense units
   /// report their activation, conv channels their plane mean).
   double neuron_threshold = 0.0;
   /// "ksection": number of sections each neuron's calibrated range splits
-  /// into (DeepGauge's k-multisection coverage).
+  /// into (DeepGauge's k-multisection coverage), in [1, kMaxSections].
   int sections = 10;
-  /// "topk": per layer, the k most-activated neurons count as covered.
+  /// "topk": per layer, the k most-activated neurons count as covered (> 0).
   int top_k = 2;
   /// Calibrated per-neuron activation ranges ("ksection"/"boundary"). Empty
   /// at construction means "calibrate from CriterionContext::calibration";
@@ -63,7 +68,11 @@ struct CriterionConfig {
   std::vector<float> range_low;
   std::vector<float> range_high;
 
+  /// Writes the config; the leading engine byte is always 0 (the
+  /// absolute-sensitivity engine, the only one).
   void save(ByteWriter& writer) const;
+  /// Reads a saved config. Throws dnnv::Error on an engine byte other than
+  /// 0, or on `sections`/`top_k` outside the ranges documented above.
   static CriterionConfig load(ByteReader& reader);
 };
 

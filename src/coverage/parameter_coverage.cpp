@@ -46,8 +46,7 @@ void ParameterCoverage::mask_from_grads(DynamicBitset& mask) {
     }
     word_scratch_[w] = word;
   }
-  // OR (not assign): the exact engine unions one call per class logit. The
-  // staging buffers are members, so a warmed-up call allocates nothing.
+  // The staging buffers are members, so a warmed-up call allocates nothing.
   mask.or_words(word_scratch_.data(), (count + 63) / 64);
 }
 
@@ -69,23 +68,11 @@ void ParameterCoverage::activation_mask(const Tensor& input,
   const std::int64_t k = logits.shape()[1];
 
   prepare_mask(mask);
-  if (config_.engine == CoverageEngine::kAbsSensitivity) {
-    Tensor seed(Shape{1, k});
-    seed.fill(1.0f);
-    model_.zero_grads();
-    model_.sensitivity_backward(seed);
-    mask_from_grads(mask);
-  } else {
-    // Union over per-logit exact gradients. backward() may be called
-    // repeatedly after one forward (layer caches are read-only in backward).
-    for (std::int64_t j = 0; j < k; ++j) {
-      Tensor seed(Shape{1, k});
-      seed[j] = 1.0f;
-      model_.zero_grads();
-      model_.backward(seed);
-      mask_from_grads(mask);
-    }
-  }
+  Tensor seed(Shape{1, k});
+  seed.fill(1.0f);
+  model_.zero_grads();
+  model_.sensitivity_backward(seed);
+  mask_from_grads(mask);
 }
 
 std::vector<DynamicBitset> ParameterCoverage::activation_masks_batched(
@@ -101,15 +88,6 @@ void ParameterCoverage::activation_masks_batched(
   const std::int64_t b = batch.shape()[0];
   masks.resize(static_cast<std::size_t>(b));
   if (b == 0) return;
-
-  if (config_.engine == CoverageEngine::kPerClassExact) {
-    // Verification engine: k exact reverse passes per item dominate, so the
-    // simple per-item path loses nothing.
-    for (std::int64_t i = 0; i < b; ++i) {
-      activation_mask(slice_batch(batch, i), masks[static_cast<std::size_t>(i)]);
-    }
-    return;
-  }
 
   const Tensor& logits = model_.forward(batch, workspace_);
   DNNV_CHECK(logits.shape().ndim() == 2, "model must produce [N, k] logits");

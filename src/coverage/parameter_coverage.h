@@ -5,6 +5,14 @@
 // (the gradient is exactly zero through inactive units); for saturating
 // activations (Tanh/Sigmoid) the paper uses a small ε because saturated
 // gradients are tiny-but-nonzero.
+//
+// The engine runs one absolute-sensitivity pass: it propagates nonnegative
+// sensitivities from all logits at once through |W| with |activation'|
+// gating. Every term is nonnegative, so a zero sensitivity means *no*
+// propagation path exists — the classic fault-propagation bound. It is ~k×
+// faster than Eq. 2's k per-logit reverse passes and equal to them except on
+// measure-zero cancellation sets; tests/coverage_oracles.h keeps the literal
+// per-class engine as the oracle it is checked against.
 #ifndef DNNV_COVERAGE_PARAMETER_COVERAGE_H_
 #define DNNV_COVERAGE_PARAMETER_COVERAGE_H_
 
@@ -13,22 +21,8 @@
 
 namespace dnnv::cov {
 
-/// How activation masks are computed.
-enum class CoverageEngine {
-  /// One absolute-sensitivity pass: propagates nonnegative sensitivities from
-  /// all logits simultaneously through |W| with |activation'| gating. Since
-  /// every term is nonnegative, a zero sensitivity means *no* propagation
-  /// path exists — the classic fault-propagation bound. ~k× faster than the
-  /// exact engine and equal to it except on measure-zero cancellation sets.
-  kAbsSensitivity,
-  /// k exact reverse-mode passes (one per logit); θ is activated iff any
-  /// class output has |∂F_j/∂θ| > ε. Ground truth, used for verification.
-  kPerClassExact,
-};
-
 /// Configuration of the activation criterion.
 struct CoverageConfig {
-  CoverageEngine engine = CoverageEngine::kAbsSensitivity;
   /// Threshold on the gradient magnitude. 0 keeps the strict ReLU criterion
   /// (any non-zero float counts); Tanh/Sigmoid models should use a small
   /// positive value (the models in exp:: default to 1e-4).
@@ -54,8 +48,7 @@ class ParameterCoverage {
   /// workspace (no allocations once warmed up on a batch shape). Bit-identical
   /// to calling activation_mask() on each item — the GEMM kernel guarantees
   /// row results independent of batch size, and the per-item sensitivity pass
-  /// runs the same arithmetic as a batch-of-one backward. The kPerClassExact
-  /// verification engine falls back to the per-item path internally.
+  /// runs the same arithmetic as a batch-of-one backward.
   std::vector<DynamicBitset> activation_masks_batched(const Tensor& batch);
 
   /// Into-variant: fills `masks` (resized to the batch size, each bitset

@@ -10,7 +10,8 @@ namespace dnnv::data {
 /// Greyscale 1x28x28 images of stroke-rendered digits 0-9 with per-sample
 /// affine jitter (translation, rotation, scale, shear), stroke-width
 /// variation and pixel noise. Substitutes for MNIST in the paper's
-/// experiments (see DESIGN.md §2); a small CNN reaches ≥97 % accuracy.
+/// experiments (README.md, module map: `src/data/`); a small CNN reaches
+/// ≥97 % accuracy.
 class DigitsDataset : public Dataset {
  public:
   /// `seed` selects the (infinite) sample universe; datasets with different

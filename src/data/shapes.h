@@ -10,9 +10,9 @@ namespace dnnv::data {
 /// RGB 3x32x32 images of ten procedurally rendered object classes
 /// (disc, square, triangle, ring, cross, horizontal/vertical/diagonal
 /// stripes, checkerboard, radial blob) with class-tied colour palettes,
-/// cluttered backgrounds and pixel noise. Substitutes for CIFAR-10 (see
-/// DESIGN.md §2); a small CNN reaches ~85 % accuracy, mirroring the paper's
-/// 84.26 %.
+/// cluttered backgrounds and pixel noise. Substitutes for CIFAR-10 in
+/// the paper's experiments (README.md, module map: `src/data/`); a small CNN
+/// reaches ~85 % accuracy, mirroring the paper's 84.26 %.
 class ShapesDataset : public Dataset {
  public:
   ShapesDataset(std::uint64_t seed, std::int64_t size, int image_size = 32);

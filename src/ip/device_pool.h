@@ -1,9 +1,8 @@
 // Reusable pool of deployed-device instances.
 //
-// Replaying a suite in parallel (BlackBoxIp::predict_all) and multiplexing
-// many validation sessions over one deliverable (pipeline::ValidationService)
-// both need several independent device instances of the SAME artifact —
-// predict() is stateful, so one instance cannot serve threads concurrently.
+// Replaying a suite in parallel (BlackBoxIp::predict_all) needs several
+// independent device instances of the SAME artifact — predict() is
+// stateful, so one instance cannot serve threads concurrently.
 // Building a device is not free (a QuantizedIp reconstructs its float mirror
 // and weight memory), so instances are pooled: acquire() hands out an idle
 // device or builds a new one through the factory, and the RAII Lease returns
@@ -12,7 +11,6 @@
 #ifndef DNNV_IP_DEVICE_POOL_H_
 #define DNNV_IP_DEVICE_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -28,10 +26,9 @@ class DevicePool {
  public:
   using Factory = std::function<std::unique_ptr<BlackBoxIp>()>;
 
-  /// `max_devices` caps the live instances (0 = unbounded). The factory is
-  /// invoked lazily, under no lock, and may return nullptr for "cannot
-  /// build" (acquire then yields an empty lease).
-  explicit DevicePool(Factory factory, std::size_t max_devices = 0);
+  /// The factory is invoked lazily, under no lock, and may return nullptr
+  /// for "cannot build" (acquire then yields an empty lease).
+  explicit DevicePool(Factory factory);
 
   DevicePool(const DevicePool&) = delete;
   DevicePool& operator=(const DevicePool&) = delete;
@@ -61,13 +58,8 @@ class DevicePool {
     std::size_t generation_ = 0;  ///< pool generation at acquire time
   };
 
-  /// Idle device, or a fresh one when under the cap; BLOCKS when the cap is
-  /// reached and every instance is leased out.
+  /// Idle device, or a fresh one from the factory when none is idle.
   Lease acquire();
-
-  /// As acquire(), but returns an empty lease instead of blocking when the
-  /// pool is exhausted.
-  Lease try_acquire();
 
   /// Drops the idle instances (leased ones are dropped when returned).
   /// Call after mutating the underlying artifact so stale replicas are
@@ -82,14 +74,10 @@ class DevicePool {
 
  private:
   void release(std::unique_ptr<BlackBoxIp> device, std::size_t generation);
-  Lease build_unlocked(std::unique_lock<std::mutex>& lock);
 
   Factory factory_;
-  const std::size_t max_devices_;
   mutable std::mutex mutex_;
-  std::condition_variable available_;
   std::vector<std::unique_ptr<BlackBoxIp>> idle_;
-  std::size_t live_ = 0;       ///< idle + leased
   std::size_t created_ = 0;    ///< lifetime factory calls
   std::size_t generation_ = 0; ///< bumped by invalidate()
 };

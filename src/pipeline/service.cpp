@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "analysis/verifier.h"
-#include "ip/device_pool.h"
 #include "ip/quantized_ip.h"
 #include "ip/reference_ip.h"
 #include "util/error.h"
@@ -94,8 +93,8 @@ struct RunState {
 
 /// One scheduler lane: the unit of cross-session sharing. Clean sessions on
 /// the same (deliverable, backend) share a lane — one label cache, one
-/// device pool — while faulted or external-device sessions get a private
-/// lane with a single device and no cache.
+/// device — while faulted or external-device sessions get a private lane
+/// over their own device and no cache.
 ///
 /// Lanes reference their registry entry by RAW pointer (plus a shared_ptr
 /// to the bundle payload itself): holding the entry shared would pin its
@@ -113,35 +112,33 @@ struct Lane {
   bool persistent = false;
   std::size_t micro_batch = 16;  ///< max tests per inference batch
 
-  // Shareable lanes: replicated devices + memoized labels (the TP-ATPG-style
-  // shared-pattern store: each test is applied once per deliverable+backend,
-  // every subscribed session reads the outcome).
-  std::unique_ptr<ip::DevicePool> devices;
-  std::size_t leases_out = 0;  ///< batches holding (or acquiring) a replica
+  // Shareable lanes: memoized labels (the TP-ATPG-style shared-pattern
+  // store: each test is applied once per deliverable+backend, every
+  // subscribed session reads the outcome).
   std::vector<int> label_cache;
   std::vector<unsigned char> label_known;
 
-  // Private lanes: exactly one device, one batch in flight at a time.
+  /// The lane's one device: built on the first batch for shareable lanes,
+  /// the tampered device for faulted lanes, null for external-device lanes.
+  /// Only the scheduler thread touches it after construction, and never
+  /// while the lane could be torn down (`running`).
   std::unique_ptr<ip::BlackBoxIp> owned_device;
   ip::BlackBoxIp* external_device = nullptr;
-  bool busy = false;
 
   /// index -> runs waiting for it (ordered: batches pop lowest-first).
   std::map<std::size_t, std::vector<std::shared_ptr<RunState>>> pending;
-  std::size_t inflight = 0;  ///< batches currently executing on this lane
-  std::size_t refs = 0;      ///< open sessions
+  bool running = false;   ///< a micro-batch of this lane is executing
+  std::size_t refs = 0;   ///< open sessions
 };
 
-/// One micro-batch handed to an executor. For shareable lanes the replica
-/// lease is acquired (and returned) inside run_batch, OUTSIDE the service
-/// mutex — device construction is the expensive part, and the lane cannot
-/// be torn down while the batch counts as in flight.
+/// One micro-batch, run by run_batch on the scheduler thread OUTSIDE the
+/// service mutex — first-touch device construction and the forward are
+/// the expensive parts, and the lane cannot be torn down while `running`.
 struct BatchJob {
   std::size_t lane_id = 0;
+  Lane* lane = nullptr;
   std::vector<std::size_t> indices;
   std::vector<std::vector<std::shared_ptr<RunState>>> subscribers;
-  ip::DevicePool* pool = nullptr;     ///< shareable lanes: acquire from here
-  ip::BlackBoxIp* device = nullptr;   ///< private lanes: resolved device
   std::shared_ptr<const Deliverable> bundle;
 };
 
@@ -194,7 +191,6 @@ struct ServiceImpl {
   void shutdown();
 
   ValidationService::Config config;
-  ThreadPool* pool = nullptr;
 
   mutable std::mutex mutex;
   std::condition_variable scheduler_cv;
@@ -207,7 +203,7 @@ struct ServiceImpl {
   std::size_t next_lane_id = 0;
   std::size_t lane_cursor = 0;
   std::size_t pending_total = 0;  ///< indices queued across all lanes
-  std::size_t inflight = 0;       ///< batches executing
+  bool running = false;           ///< the scheduler is executing a batch
   std::size_t active_runs = 0;
   /// Publish batches collected under the lock but not yet delivered to
   /// futures/streams. drain() waits on this too, so "scheduler quiet"
@@ -216,16 +212,12 @@ struct ServiceImpl {
 
   ValidationService::Stats stats;
 
-  TaskGroup executors;
   std::thread scheduler;
 };
 
 ServiceImpl::ServiceImpl(ValidationService::Config config_in)
-    : config(config_in),
-      pool(config_in.pool != nullptr ? config_in.pool : &ThreadPool::shared()),
-      executors(*pool) {
+    : config(config_in) {
   DNNV_CHECK(config.micro_batch > 0, "micro_batch must be positive");
-  if (config.max_inflight_batches == 0) config.max_inflight_batches = 1;
   scheduler = std::thread([this] { scheduler_loop(); });
 }
 
@@ -384,11 +376,6 @@ std::shared_ptr<Session> ServiceImpl::open_session(
                              ? session_config.micro_batch
                              : config.micro_batch;
     if (shareable) {
-      fresh->devices = std::make_unique<ip::DevicePool>(
-          [bundle_ptr = entry->bundle, backend] {
-            return make_device(*bundle_ptr, backend);
-          },
-          std::max<std::size_t>(1, config.devices_per_lane));
       fresh->label_cache.assign(bundle.suite.size(), -1);
       fresh->label_known.assign(bundle.suite.size(), 0);
     } else {
@@ -417,8 +404,7 @@ void ServiceImpl::gc_lane_locked(std::size_t lane_id) {
   auto it = lanes.find(lane_id);
   if (it == lanes.end()) return;
   Lane& lane = *it->second;
-  if (lane.refs != 0 || !lane.pending.empty() || lane.inflight != 0 ||
-      lane.busy) {
+  if (lane.refs != 0 || !lane.pending.empty() || lane.running) {
     return;  // still referenced or still working
   }
   // Persistent lanes (shared lanes of registry-resident deliverables)
@@ -639,21 +625,8 @@ std::unique_ptr<BatchJob> ServiceImpl::form_batch_locked() {
 
     auto job = std::make_unique<BatchJob>();
     job->lane_id = lane_id;
+    job->lane = &lane;
     job->bundle = lane.bundle;
-    if (lane.shareable) {
-      // Reserve a replica slot; the (possibly constructing) acquire happens
-      // in run_batch, outside this mutex.
-      if (lane.leases_out >= std::max<std::size_t>(1, config.devices_per_lane)) {
-        continue;  // every replica slot busy; try another lane
-      }
-      ++lane.leases_out;
-      job->pool = lane.devices.get();
-    } else {
-      if (lane.busy) continue;
-      job->device = lane.external_device != nullptr ? lane.external_device
-                                                    : lane.owned_device.get();
-      lane.busy = true;
-    }
 
     while (!lane.pending.empty() &&
            job->indices.size() < lane.micro_batch) {
@@ -665,15 +638,8 @@ std::unique_ptr<BatchJob> ServiceImpl::form_batch_locked() {
       lane.pending.erase(pending_it);
       --pending_total;
     }
-    if (job->indices.empty()) {
-      if (lane.shareable) {
-        --lane.leases_out;
-      } else {
-        lane.busy = false;
-      }
-      continue;
-    }
-    ++lane.inflight;
+    if (job->indices.empty()) continue;
+    lane.running = true;
     lane_cursor = lane_id + 1;
     return job;
   }
@@ -681,20 +647,21 @@ std::unique_ptr<BatchJob> ServiceImpl::form_batch_locked() {
 }
 
 void ServiceImpl::run_batch(std::unique_ptr<BatchJob> job) {
+  // The lane stays alive while its `running` flag is set (gc_lane_locked).
+  Lane& lane = *job->lane;
   std::vector<int> labels;
   std::exception_ptr error;
   {
-    // Acquire, infer and release the replica with no service lock held:
-    // first-touch device construction and the forward pass are the
-    // expensive parts. The lane stays alive — its inflight count is ours.
-    ip::DevicePool::Lease lease;
+    // Build (first batch only) and drive the lane's device with no service
+    // lock held.
     try {
-      ip::BlackBoxIp* device = job->device;
-      if (job->pool != nullptr) {
-        lease = job->pool->acquire();
-        device = lease.get();
+      ip::BlackBoxIp* device = lane.external_device;
+      if (device == nullptr) {
+        if (lane.owned_device == nullptr) {
+          lane.owned_device = make_device(*job->bundle, lane.backend);
+        }
+        device = lane.owned_device.get();
       }
-      DNNV_CHECK(device != nullptr, "no device available for micro-batch");
       std::vector<Tensor> inputs;
       inputs.reserve(job->indices.size());
       for (const std::size_t index : job->indices) {
@@ -712,23 +679,21 @@ void ServiceImpl::run_batch(std::unique_ptr<BatchJob> job) {
   Publish out;
   {
     std::lock_guard<std::mutex> lock(mutex);
-    auto lane_it = lanes.find(job->lane_id);
-    Lane* lane = lane_it != lanes.end() ? lane_it->second.get() : nullptr;
     const auto& golden = job->bundle->suite.golden_labels();
     ++stats.batches;
     if (!error) stats.predicted += job->indices.size();
     for (std::size_t i = 0; i < job->indices.size(); ++i) {
       const std::size_t index = job->indices[i];
-      if (!error && lane != nullptr && lane->shareable) {
-        lane->label_cache[index] = labels[i];
-        lane->label_known[index] = 1;
+      if (!error && lane.shareable) {
+        lane.label_cache[index] = labels[i];
+        lane.label_known[index] = 1;
         // Serve subscribers that queued this index while the batch was in
         // flight (their submit raced the pop), so a test is never inferred
         // twice on one lane.
-        auto raced = lane->pending.find(index);
-        if (raced != lane->pending.end()) {
+        auto raced = lane.pending.find(index);
+        if (raced != lane.pending.end()) {
           auto raced_subscribers = std::move(raced->second);
-          lane->pending.erase(raced);
+          lane.pending.erase(raced);
           --pending_total;
           for (const auto& run : raced_subscribers) {
             if (run->finished) continue;
@@ -747,16 +712,9 @@ void ServiceImpl::run_batch(std::unique_ptr<BatchJob> job) {
         }
       }
     }
-    if (lane != nullptr) {
-      if (lane->shareable) {
-        --lane->leases_out;
-      } else {
-        lane->busy = false;
-      }
-      --lane->inflight;
-      if (lane->refs == 0) gc_lane_locked(job->lane_id);
-    }
-    --inflight;
+    lane.running = false;
+    if (lane.refs == 0) gc_lane_locked(job->lane_id);  // may destroy `lane`
+    running = false;
     ++publishing;
   }
   scheduler_cv.notify_all();
@@ -771,30 +729,15 @@ void ServiceImpl::run_batch(std::unique_ptr<BatchJob> job) {
 void ServiceImpl::scheduler_loop() {
   std::unique_lock<std::mutex> lock(mutex);
   for (;;) {
-    if (stopping && pending_total == 0 && inflight == 0) return;
-    if (inflight >= config.max_inflight_batches) {
-      scheduler_cv.wait(lock);
-      continue;
-    }
+    if (stopping && pending_total == 0) return;
     std::unique_ptr<BatchJob> job = form_batch_locked();
     if (job == nullptr) {
-      if (!(stopping && pending_total == 0 && inflight == 0)) {
-        scheduler_cv.wait(lock);
-      }
+      if (!(stopping && pending_total == 0)) scheduler_cv.wait(lock);
       continue;
     }
-    ++inflight;
-    const bool async = config.max_inflight_batches > 1 &&
-                       pool->num_threads() >= 2 && !ThreadPool::in_worker();
+    running = true;
     lock.unlock();
-    if (async) {
-      // BatchJob is moved into the executor; run_batch re-locks to fold
-      // results and returns the device lease.
-      auto* raw = job.release();
-      executors.run([this, raw] { run_batch(std::unique_ptr<BatchJob>(raw)); });
-    } else {
-      run_batch(std::move(job));
-    }
+    run_batch(std::move(job));  // re-locks to fold results
     lock.lock();
   }
 }
@@ -806,7 +749,6 @@ void ServiceImpl::shutdown() {
   }
   scheduler_cv.notify_all();
   scheduler.join();
-  executors.wait();
 }
 
 }  // namespace detail
@@ -944,7 +886,7 @@ void ValidationService::drain() {
   // zero) and its promise/stream actually being fulfilled outside the
   // lock — after drain() returns, every verdict future is ready.
   impl_->scheduler_cv.wait(lock, [this] {
-    return impl_->pending_total == 0 && impl_->inflight == 0 &&
+    return impl_->pending_total == 0 && !impl_->running &&
            impl_->active_runs == 0 && impl_->publishing == 0;
   });
 }

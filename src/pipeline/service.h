@@ -10,12 +10,13 @@
 //     sessions reuse one decoded model/QuantModel/TestSuite.
 //   * Sessions — open_session(handle, SessionConfig) owns per-session
 //     replay state (backend choice, injected memory faults, test budget)
-//     and draws devices from a shared ip::DevicePool instead of building
-//     one per request.
+//     and replays on its lane's one device instead of building one per
+//     request.
 //   * Micro-batched scheduler — Session::submit() returns a
 //     std::future<Verdict>; a scheduler thread coalesces pending test
 //     items ACROSS sessions targeting the same deliverable+backend into
-//     micro-batches driven through the batched float/int8 engines, the way
+//     micro-batches and runs them one at a time through the batched
+//     float/int8 engines (each forward parallelises internally), the way
 //     hardware-test infrastructure amortizes pattern application across
 //     parts: one prediction per (deliverable, backend, test) serves every
 //     subscribed session.
@@ -38,7 +39,6 @@
 
 #include "ip/black_box_ip.h"
 #include "pipeline/deliverable.h"
-#include "util/thread_pool.h"
 #include "validate/backend.h"
 #include "validate/validator.h"
 
@@ -62,7 +62,7 @@ enum class BackendKind {
 BackendKind backend_kind_from_string(const std::string& name);
 
 /// Builds a fresh deployed device for `deliverable` under `kind` — the
-/// factory behind UserValidator::make_device and the service device pools.
+/// factory behind UserValidator::make_device and the service lane devices.
 std::unique_ptr<ip::BlackBoxIp> make_device(const Deliverable& deliverable,
                                             BackendKind kind =
                                                 BackendKind::kAuto);
@@ -196,20 +196,14 @@ class Session {
 /// drains outstanding work before returning.
 class ValidationService {
  public:
+  /// The scheduler thread runs one micro-batch at a time on the lane's one
+  /// device; the batched forward itself fans out over ThreadPool::shared().
   struct Config {
     /// Resident UNPINNED registry entries kept for reuse; pinned entries
     /// (live handles/sessions) never count against this.
     std::size_t max_cached_deliverables = 4;
     /// Default micro-batch (and streaming chunk) size in tests.
     std::size_t micro_batch = 16;
-    /// Devices kept per (deliverable, backend) lane.
-    std::size_t devices_per_lane = 4;
-    /// Micro-batches allowed in flight at once. 1 executes on the
-    /// scheduler thread (inference still parallelises internally); >1
-    /// dispatches batches onto `pool` for coarse cross-lane parallelism.
-    std::size_t max_inflight_batches = 1;
-    /// Worker pool for >1 in-flight batches (nullptr = ThreadPool::shared).
-    ThreadPool* pool = nullptr;
   };
 
   /// Cumulative counters (scheduler observability; monotone).
@@ -243,7 +237,7 @@ class ValidationService {
 
   /// Opens a session over `handle`'s deliverable. Clean sessions on the
   /// same deliverable+backend share a scheduler lane: one label cache, one
-  /// device pool, cross-session micro-batches.
+  /// device, cross-session micro-batches.
   std::shared_ptr<Session> open_session(const DeliverableHandle& handle,
                                         SessionConfig config = {});
 

@@ -12,7 +12,6 @@
 #include "nn/flatten.h"
 #include "nn/maxpool2d.h"
 #include "nn/normalize.h"
-#include "quant/observer.h"
 #include "quant/qgemm.h"
 #include "quant/qops.h"
 #include "tensor/batch.h"
@@ -24,8 +23,7 @@
 namespace dnnv::quant {
 
 float wscale_for(const QLayer& q, std::int64_t channel) {
-  return q.wscales.size() > 1 ? q.wscales[static_cast<std::size_t>(channel)]
-                              : q.wscales[0];
+  return q.wscales[static_cast<std::size_t>(channel)];
 }
 
 std::int64_t weight_channels(const QLayer& q) {
@@ -68,13 +66,18 @@ namespace {
 
 constexpr std::uint32_t kQuantMagic = 0x384D5144;  // "DQM8"
 constexpr std::uint32_t kQuantVersion = 1;
+/// Recipe fields every version-1 stream carries. Only the per-channel,
+/// min/max recipe exists, so save() writes these constants and load()
+/// rejects any other tag.
+constexpr std::uint8_t kPerChannelTag = 1;
+constexpr std::uint8_t kMinMaxTag = 0;
+constexpr double kUnusedPercentile = 0.999;
 /// Per-layer allowance for the float32 arithmetic of the reference forward
 /// (the bound compares exact integer execution against a float32 baseline).
 constexpr double kFloatSlack = 1e-5;
 
 /// Quantizes one float weight tensor (+ bias vector) into a QLayer's codes.
-void quantize_params(QLayer& q, const Tensor& weights, const Tensor& bias,
-                     Granularity granularity) {
+void quantize_params(QLayer& q, const Tensor& weights, const Tensor& bias) {
   const std::int64_t channels = weight_channels(q);
   const std::int64_t fanin = weight_fanin(q);
   DNNV_CHECK(weights.numel() == channels * fanin,
@@ -82,7 +85,7 @@ void quantize_params(QLayer& q, const Tensor& weights, const Tensor& bias,
                     << " does not match quantized geometry");
   DNNV_CHECK(bias.numel() == channels, q.name << ": bias size mismatch");
 
-  q.wscales = weight_scales(weights.data(), channels, fanin, granularity);
+  q.wscales = weight_scales(weights.data(), channels, fanin);
   q.weights.resize(static_cast<std::size_t>(channels * fanin));
   for (std::int64_t c = 0; c < channels; ++c) {
     const float scale = wscale_for(q, c);
@@ -128,17 +131,11 @@ QuantModel QuantModel::quantize(const nn::Sequential& model,
   DNNV_CHECK(m.layer(num_layers - 1).kind() == "dense",
              "quantized models must end in the dense logit layer");
 
-  // ---- Calibration: observe every activation site on the float model ----
-  std::vector<std::unique_ptr<Observer>> obs(num_layers);
-  for (std::size_t i = 0; i < num_layers; ++i) {
-    const std::string kind = m.layer(i).kind();
-    const bool is_site = kind == "normalize" || kind == "activation" ||
-                         ((kind == "conv2d" || kind == "dense") &&
-                          i + 1 < num_layers);
-    if (is_site) obs[i] = make_observer(config);
-  }
-  std::unique_ptr<Observer> input_obs;  // raw input when nothing normalizes it
-  if (m.layer(0).kind() != "normalize") input_obs = make_observer(config);
+  // ---- Calibration: max |x| at every layer output and at the raw input.
+  // Only activation sites (normalize, activation, non-logit conv/dense)
+  // read theirs; tracking every layer keeps the sweep branch-free.
+  std::vector<float> amax(num_layers, 0.0f);
+  float input_amax = 0.0f;  // read when nothing normalizes the input
 
   const auto total = std::min<std::int64_t>(
       config.max_calibration_items,
@@ -151,10 +148,10 @@ QuantModel QuantModel::quantize(const nn::Sequential& model,
         calibration.begin() + static_cast<std::ptrdiff_t>(begin),
         calibration.begin() + static_cast<std::ptrdiff_t>(end));
     Tensor x = stack_batch(chunk);
-    if (input_obs) input_obs->observe(x.data(), x.numel());
+    input_amax = std::max(input_amax, amax_of(x.data(), x.numel()));
     for (std::size_t i = 0; i < num_layers; ++i) {
       x = m.layer(i).forward(x);
-      if (obs[i]) obs[i]->observe(x.data(), x.numel());
+      amax[i] = std::max(amax[i], amax_of(x.data(), x.numel()));
     }
   }
 
@@ -172,10 +169,10 @@ QuantModel QuantModel::quantize(const nn::Sequential& model,
       qm.has_normalize_ = true;
       q.input_mean = norm.mean();
       q.input_norm_scale = norm.scale();
-      q.out_scale = choose_scale(obs[0]->amax());
+      q.out_scale = choose_scale(amax[0]);
       first = 1;
     } else {
-      q.out_scale = choose_scale(input_obs->amax());
+      q.out_scale = choose_scale(input_amax);
     }
     cur_scale = q.out_scale;
     qm.layers_.push_back(std::move(q));
@@ -193,9 +190,8 @@ QuantModel QuantModel::quantize(const nn::Sequential& model,
       q.kernel = conv.config().kernel;
       q.stride = conv.config().stride;
       q.pad = conv.config().pad;
-      q.out_scale = choose_scale(obs[i]->amax());
-      quantize_params(q, conv.weights(), conv.bias(),
-                      config.weight_granularity);
+      q.out_scale = choose_scale(amax[i]);
+      quantize_params(q, conv.weights(), conv.bias());
     } else if (kind == "dense") {
       auto& dense = dynamic_cast<nn::Dense&>(m.layer(i));
       q.kind = QLayerKind::kDense;
@@ -206,15 +202,14 @@ QuantModel QuantModel::quantize(const nn::Sequential& model,
         q.out_scale = 1.0f;
         qm.num_classes_ = static_cast<int>(q.out_features);
       } else {
-        q.out_scale = choose_scale(obs[i]->amax());
+        q.out_scale = choose_scale(amax[i]);
       }
-      quantize_params(q, dense.weights(), dense.bias(),
-                      config.weight_granularity);
+      quantize_params(q, dense.weights(), dense.bias());
     } else if (kind == "activation") {
       const auto& act = dynamic_cast<const nn::ActivationLayer&>(m.layer(i));
       q.kind = QLayerKind::kActivation;
       q.activation = act.activation();
-      q.out_scale = choose_scale(obs[i]->amax());
+      q.out_scale = choose_scale(amax[i]);
     } else if (kind == "maxpool2d") {
       const auto& pool = dynamic_cast<const nn::MaxPool2d&>(m.layer(i));
       q.kind = QLayerKind::kMaxPool;
@@ -773,7 +768,7 @@ std::vector<QTensorView> QuantModel::param_views() {
     w.name = q.name + ".weight";
     w.codes = q.weights.data();
     w.size = channels * fanin;
-    w.per_channel = q.wscales.size() > 1 ? fanin : w.size;
+    w.per_channel = fanin;
     w.scales = q.wscales;
     views.push_back(std::move(w));
     QTensorView b;
@@ -812,13 +807,11 @@ void QuantModel::requantize_weights_from(nn::Sequential& model) {
     if (kind == "conv2d") {
       DNNV_CHECK(q.kind == QLayerKind::kConv2d, "layer kind mismatch at " << i);
       auto& conv = dynamic_cast<nn::Conv2d&>(model.layer(i));
-      quantize_params(q, conv.weights(), conv.bias(),
-                      config_.weight_granularity);
+      quantize_params(q, conv.weights(), conv.bias());
     } else {
       DNNV_CHECK(q.kind == QLayerKind::kDense, "layer kind mismatch at " << i);
       auto& dense = dynamic_cast<nn::Dense&>(model.layer(i));
-      quantize_params(q, dense.weights(), dense.bias(),
-                      config_.weight_granularity);
+      quantize_params(q, dense.weights(), dense.bias());
     }
   }
   while (qi < layers_.size() && layers_[qi].kind != QLayerKind::kConv2d &&
@@ -833,9 +826,9 @@ void QuantModel::requantize_weights_from(nn::Sequential& model) {
 void QuantModel::save(ByteWriter& writer) const {
   writer.write_u32(kQuantMagic);
   writer.write_u32(kQuantVersion);
-  writer.write_u8(static_cast<std::uint8_t>(config_.weight_granularity));
-  writer.write_u8(static_cast<std::uint8_t>(config_.calibration));
-  writer.write_f64(config_.percentile);
+  writer.write_u8(kPerChannelTag);
+  writer.write_u8(kMinMaxTag);
+  writer.write_f64(kUnusedPercentile);
   writer.write_i64(config_.max_calibration_items);
   writer.write_u8(has_normalize_ ? 1 : 0);
   writer.write_u64(layers_.size());
@@ -886,9 +879,18 @@ QuantModel QuantModel::load(ByteReader& reader) {
   DNNV_CHECK(reader.read_u32() == kQuantVersion,
              "unsupported QuantModel version");
   QuantModel qm;
-  qm.config_.weight_granularity = static_cast<Granularity>(reader.read_u8());
-  qm.config_.calibration = static_cast<CalibrationMethod>(reader.read_u8());
-  qm.config_.percentile = reader.read_f64();
+  const std::uint8_t granularity = reader.read_u8();
+  DNNV_CHECK(granularity == kPerChannelTag,
+             "unsupported weight granularity tag "
+                 << static_cast<int>(granularity) << " (only per-channel, "
+                 << static_cast<int>(kPerChannelTag) << ", is supported)");
+  const std::uint8_t calibration = reader.read_u8();
+  DNNV_CHECK(calibration == kMinMaxTag,
+             "unsupported calibration tag " << static_cast<int>(calibration)
+                                            << " (only min/max, "
+                                            << static_cast<int>(kMinMaxTag)
+                                            << ", is supported)");
+  reader.read_f64();  // percentile: unused under min/max calibration
   qm.config_.max_calibration_items = reader.read_i64();
   qm.has_normalize_ = reader.read_u8() != 0;
   const std::uint64_t count = reader.read_u64();
@@ -915,6 +917,10 @@ QuantModel QuantModel::load(ByteReader& reader) {
         q.out_features = reader.read_i64();
         q.dequant_output = reader.read_u8() != 0;
         const std::uint64_t num_scales = reader.read_u64();
+        DNNV_CHECK(num_scales == static_cast<std::uint64_t>(weight_channels(q)),
+                   q.name << ": " << num_scales << " weight scales for "
+                          << weight_channels(q)
+                          << " output channels (need one per channel)");
         for (std::uint64_t s = 0; s < num_scales; ++s) {
           q.wscales.push_back(reader.read_f32());
         }
@@ -995,12 +1001,11 @@ std::string QuantModel::summary() const {
         break;
       case QLayerKind::kConv2d:
         os << "qconv2d(" << q.in_channels << "->" << q.out_channels << ",k"
-           << q.kernel << (q.wscales.size() > 1 ? ",pc" : ",pt") << ")";
+           << q.kernel << ",pc)";
         break;
       case QLayerKind::kDense:
         os << "qdense(" << q.in_features << "->" << q.out_features
-           << (q.wscales.size() > 1 ? ",pc" : ",pt")
-           << (q.dequant_output ? ",dequant" : "") << ")";
+           << ",pc" << (q.dequant_output ? ",dequant" : "") << ")";
         break;
       case QLayerKind::kActivation:
         os << "lut(" << nn::to_string(q.activation) << ")";

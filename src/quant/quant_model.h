@@ -3,8 +3,9 @@
 // QuantModel is the representation an accelerator IP actually executes:
 // int8 weight codes, int32 biases, fixed-point requantization multipliers,
 // LUT activations — no float anywhere in the inner loops. It is produced
-// from a float nn::Sequential by post-training quantization (calibrated over
-// a representative pool, per-tensor or per-channel symmetric) and runs
+// from a float nn::Sequential by post-training quantization (symmetric,
+// one weight scale per output channel, activation ranges min/max-calibrated
+// over a representative pool) and runs
 // batch-native forwards on the nn::Workspace arena with exact integer
 // arithmetic, so outputs are bit-identical across batch sizes, thread
 // counts and micro-kernels.
@@ -63,7 +64,7 @@ struct QLayer {
   // Weight/bias codes. Conv: [out_c, in_c*k*k]; dense: [out, in] (same
   // layout as the float layers — this IS the IP's weight memory content).
   std::vector<std::int8_t> weights;
-  std::vector<float> wscales;  ///< 1 (per-tensor) or out-channel-count entries
+  std::vector<float> wscales;  ///< one weight scale per output channel
   std::vector<std::int8_t> bias_codes;
   float bias_scale = 1.0f;
   bool dequant_output = false;  ///< logit layer: emit float, skip requant
@@ -100,7 +101,7 @@ struct QTensorView {
 // ---- Layer-geometry helpers (shared by the engine, src/fault/ and
 // src/analysis/) ----
 
-/// Weight scale of output channel `channel` (per-tensor models share entry 0).
+/// Weight scale of output channel `channel`.
 float wscale_for(const QLayer& q, std::int64_t channel);
 
 /// Output channels (conv) / output features (dense) of a parameter layer.
@@ -233,10 +234,9 @@ class QuantModel {
 
   /// Analytic bound on max |int8-engine logit - float-reference logit|,
   /// propagated layer by layer (weight rounding, bias rounding, requant
-  /// rounding, LUT rounding, Lipschitz-1 activations/pooling). Valid under
-  /// min/max calibration for inputs whose float activations stay inside the
-  /// calibrated ranges (clipping is then a projection and cannot grow the
-  /// error); percentile calibration clips by design and voids the bound.
+  /// rounding, LUT rounding, Lipschitz-1 activations/pooling). Valid for
+  /// inputs whose float activations stay inside the min/max-calibrated
+  /// ranges (clipping is then a projection and cannot grow the error).
   double logit_error_bound() const;
 
   // ---- Weight-memory surface ----

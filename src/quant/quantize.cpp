@@ -64,13 +64,8 @@ float amax_of(const float* values, std::int64_t count) {
 }
 
 std::vector<float> weight_scales(const float* weights, std::int64_t channels,
-                                 std::int64_t per_channel,
-                                 Granularity granularity) {
+                                 std::int64_t per_channel) {
   std::vector<float> scales;
-  if (granularity == Granularity::kPerTensor) {
-    scales.push_back(choose_scale(amax_of(weights, channels * per_channel)));
-    return scales;
-  }
   scales.reserve(static_cast<std::size_t>(channels));
   for (std::int64_t c = 0; c < channels; ++c) {
     scales.push_back(choose_scale(amax_of(weights + c * per_channel, per_channel)));

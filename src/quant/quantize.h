@@ -18,18 +18,10 @@ namespace dnnv::quant {
 inline constexpr std::int32_t kQmin = -127;
 inline constexpr std::int32_t kQmax = 127;
 
-/// Weight/activation quantization granularity.
-enum class Granularity : std::uint8_t { kPerTensor = 0, kPerChannel = 1 };
-
-/// How activation clip ranges are calibrated over the representative pool.
-enum class CalibrationMethod : std::uint8_t { kMinMax = 0, kPercentile = 1 };
-
-/// Post-training quantization options.
+/// Post-training quantization options. Weights always get one scale per
+/// output channel; activation clip ranges are the max |x| the calibration
+/// sweep sees (min/max calibration).
 struct QuantConfig {
-  Granularity weight_granularity = Granularity::kPerChannel;
-  CalibrationMethod calibration = CalibrationMethod::kMinMax;
-  /// Fraction of |activation| mass kept inside the clip range (kPercentile).
-  double percentile = 0.999;
   /// Cap on calibration items actually swept (pools can be huge).
   std::int64_t max_calibration_items = 256;
 };
@@ -64,11 +56,9 @@ std::int8_t requantize(std::int32_t acc, const Requant& rq);
 /// max |values[i]| over a range (0 for empty).
 float amax_of(const float* values, std::int64_t count);
 
-/// Per-channel scales for a [channels, per_channel] weight matrix; per-tensor
-/// granularity returns a single scale replicated per channel by the caller.
+/// One scale per channel of a [channels, per_channel] weight matrix.
 std::vector<float> weight_scales(const float* weights, std::int64_t channels,
-                                 std::int64_t per_channel,
-                                 Granularity granularity);
+                                 std::int64_t per_channel);
 
 }  // namespace dnnv::quant
 

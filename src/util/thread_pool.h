@@ -38,9 +38,8 @@ class ThreadPool {
   /// reusable: the error slot is cleared and the workers keep running.
   ///
   /// Note: waits for ALL tasks in flight, including other callers'. Code
-  /// that shares the pool with concurrent producers (the validation
-  /// service, predict_all) should track its own tasks with a TaskGroup
-  /// instead.
+  /// that shares the pool with concurrent producers (predict_all) should
+  /// track its own tasks with a TaskGroup instead.
   void wait_all();
 
   /// Runs body(i) for i in [0, count) across the pool and waits.
@@ -92,9 +91,9 @@ class ThreadPool {
 /// Tracks a private set of tasks on a shared ThreadPool. Unlike
 /// ThreadPool::wait_all(), TaskGroup::wait() blocks only for the tasks
 /// submitted through THIS group and rethrows only their errors, so several
-/// producers (validation-service micro-batches, a predict_all replay, a
-/// bench driver) can share one pool without waiting on — or stealing
-/// exceptions from — each other's work queues.
+/// producers (predict_all replays, a bench driver) can share one pool
+/// without waiting on — or stealing exceptions from — each other's work
+/// queues.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}

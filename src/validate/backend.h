@@ -8,8 +8,9 @@
 // own outputs) and how a worker replays the suite once the attacker has
 // perturbed the float master. The detection loop, golden-label
 // qualification (VendorPipeline) and suite replay are written once against
-// this interface; new targets (systolic-timed, bit-flipped memory, ...)
-// plug in without touching the loop.
+// this interface. A device with bit-flipped weight memory is not a backend:
+// it is an ip::QuantizedIp after flip_bit(), which is how a
+// pipeline::SessionConfig's CodeFaults reach the validation service.
 #ifndef DNNV_VALIDATE_BACKEND_H_
 #define DNNV_VALIDATE_BACKEND_H_
 
@@ -36,7 +37,7 @@ class ExecutionBackend {
 
   virtual ~ExecutionBackend() = default;
 
-  /// Registry-style name ("float", "int8", "faulty-int8", ...).
+  /// Registry-style name ("float" or "int8").
   virtual std::string name() const = 0;
 
   /// Labels the clean (unperturbed, fault-free) artifact produces on
@@ -89,37 +90,12 @@ class Int8Backend final : public ExecutionBackend {
   quant::QuantModel shipped_;  ///< clean artifact (fixed calibration)
 };
 
-/// A single stuck memory fault in the int8 weight-code store.
+/// One flipped bit in the int8 weight memory: an ip::QuantizedIp
+/// flip_bit(address, bit) (rowhammer-style, permanent for the device).
 struct CodeFault {
   std::size_t address = 0;  ///< flat code index (param_views order)
   int bit = 7;              ///< 0..7; 7 = sign bit
 };
-
-/// Int8 backend whose deployed device carries permanent memory faults
-/// (rowhammer-style bit flips baked into the weight store). Golden labels
-/// stay those of the fault-FREE vendor artifact, so replays expose the
-/// faults themselves as well as any attack perturbation.
-class FaultInjectedInt8Backend final : public ExecutionBackend {
- public:
-  FaultInjectedInt8Backend(const quant::QuantModel& shipped,
-                           std::vector<CodeFault> faults);
-
-  std::string name() const override { return "faulty-int8"; }
-  /// Fault-free artifact labels (what the vendor shipped).
-  std::vector<int> predict_clean(const Tensor& batch) override;
-  Replay make_replay(const Tensor& suite_batch) const override;
-
-  const std::vector<CodeFault>& faults() const { return faults_; }
-
- private:
-  quant::QuantModel shipped_;
-  std::vector<CodeFault> faults_;
-};
-
-/// XORs the configured fault bits into `model`'s weight codes (flat
-/// param_views order) and rebuilds the derived execution state.
-void apply_code_faults(quant::QuantModel& model,
-                       const std::vector<CodeFault>& faults);
 
 }  // namespace dnnv::validate
 

@@ -462,7 +462,6 @@ TEST(NewCriteriaTest, MeasurePoolMatchesSerialMeasure) {
 
 TEST(CriterionConfigTest, SerializationRoundTrips) {
   cov::CriterionConfig config;
-  config.parameter.engine = cov::CoverageEngine::kPerClassExact;
   config.parameter.epsilon = 1e-4;
   config.neuron_threshold = 0.25;
   config.sections = 7;
@@ -475,7 +474,6 @@ TEST(CriterionConfigTest, SerializationRoundTrips) {
   ByteReader reader(writer.take());
   const auto loaded = cov::CriterionConfig::load(reader);
   EXPECT_TRUE(reader.exhausted());
-  EXPECT_EQ(loaded.parameter.engine, config.parameter.engine);
   EXPECT_EQ(loaded.parameter.epsilon, config.parameter.epsilon);
   EXPECT_EQ(loaded.neuron_threshold, config.neuron_threshold);
   EXPECT_EQ(loaded.sections, config.sections);

@@ -1,5 +1,6 @@
 // Coverage-engine tests: hand-computed activation sets on tiny networks,
-// equivalence of the two engines, accumulator algebra and neuron coverage.
+// equivalence of the engine with the per-class exact oracle
+// (tests/coverage_oracles.h), accumulator algebra and neuron coverage.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include "nn/dense.h"
 #include "nn/sequential.h"
 #include "tensor/batch.h"
+#include "tests/coverage_oracles.h"
 #include "util/error.h"
 
 namespace dnnv::cov {
@@ -67,15 +69,13 @@ TEST(ParameterCoverageTest, HandComputedActivationSet) {
   EXPECT_DOUBLE_EQ(coverage.validation_coverage(x), 7.0 / 12.0);
 }
 
-TEST(ParameterCoverageTest, BothEnginesAgreeOnHandNetwork) {
+TEST(ParameterCoverageTest, EngineAgreesWithExactOracleOnHandNetwork) {
   Sequential model = hand_network();
-  CoverageConfig exact;
-  exact.engine = CoverageEngine::kPerClassExact;
-  ParameterCoverage pc_exact(model, exact);
   Sequential model2 = hand_network();
   ParameterCoverage pc_abs(model2, CoverageConfig{});
   const Tensor x(Shape{2}, {1.0f, -1.0f});
-  EXPECT_TRUE(pc_abs.activation_mask(x) == pc_exact.activation_mask(x));
+  EXPECT_TRUE(pc_abs.activation_mask(x) ==
+              coverage_oracles::per_class_exact_mask(model, x));
 }
 
 TEST(ParameterCoverageTest, AllDeadInputActivatesOnlyTailBiases) {
@@ -106,15 +106,12 @@ TEST_P(EngineEquivalence, AbsSensitivityMatchesPerClassExact) {
   Sequential model = nn::build_convnet(spec, rng);
 
   Rng data_rng(GetParam() + 1000);
-  CoverageConfig exact;
-  exact.engine = CoverageEngine::kPerClassExact;
   Sequential model2 = model.clone();
   ParameterCoverage pc_abs(model, CoverageConfig{});
-  ParameterCoverage pc_exact(model2, exact);
   for (int trial = 0; trial < 3; ++trial) {
     const Tensor x = Tensor::rand_uniform(Shape{1, 8, 8}, data_rng, 0.0f, 1.0f);
     const auto abs_mask = pc_abs.activation_mask(x);
-    const auto exact_mask = pc_exact.activation_mask(x);
+    const auto exact_mask = coverage_oracles::per_class_exact_mask(model2, x);
     EXPECT_TRUE(abs_mask == exact_mask)
         << "engines disagree: abs=" << abs_mask.count()
         << " exact=" << exact_mask.count();

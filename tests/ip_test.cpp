@@ -124,23 +124,13 @@ TEST(QuantizedIpTest, AgreesWithFloatModelOnMostInputs) {
 
 TEST(QuantizedIpTest, PerChannelErrorBoundSemantics) {
   // The error accounting must dequantize every code with ITS channel's
-  // scale: per-channel grids are finer, so the per-channel bound can never
-  // exceed the per-tensor bound, and measured error obeys each bound.
+  // scale, so the measured error obeys the per-channel bound.
   Sequential model = trained_net();
   const auto pool = probe_inputs(32, 21);
-  QuantizedIp per_channel(model, Shape{6}, pool);  // per-channel default
-  quant::QuantConfig per_tensor_config;
-  per_tensor_config.weight_granularity = quant::Granularity::kPerTensor;
-  QuantizedIp per_tensor(model, Shape{6}, pool, per_tensor_config);
+  QuantizedIp per_channel(model, Shape{6}, pool);
 
   EXPECT_LE(per_channel.max_quantization_error(),
             per_channel.quantization_error_bound() + 1e-6f);
-  EXPECT_LE(per_tensor.max_quantization_error(),
-            per_tensor.quantization_error_bound() + 1e-6f);
-  EXPECT_LE(per_channel.quantization_error_bound(),
-            per_tensor.quantization_error_bound() + 1e-6f);
-  EXPECT_LE(per_channel.max_quantization_error(),
-            per_tensor.quantization_error_bound() + 1e-6f);
 
   // The address-layout table documents the channel structure: the first
   // weight tensor (dense 6->10) carries one scale per output unit.
@@ -149,7 +139,6 @@ TEST(QuantizedIpTest, PerChannelErrorBoundSemantics) {
   EXPECT_EQ(first.per_channel, 6);
   EXPECT_EQ(first.scale, *std::max_element(first.channel_scales.begin(),
                                            first.channel_scales.end()));
-  EXPECT_EQ(per_tensor.tensor_table().front().channel_scales.size(), 1u);
 }
 
 TEST(QuantizedIpTest, BitFlipChangesMemoryAndCanChangeOutput) {

@@ -178,73 +178,6 @@ TEST(ExecutionBackendTest, FloatGoldenLabelsAreTheSuiteLabels) {
   EXPECT_EQ(backend.predict_clean(batch), suite.golden_labels());
 }
 
-TEST(ExecutionBackendTest, FaultApplicationIsAnInvolution) {
-  Sequential model = small_relu_net(91);
-  const auto calibration = random_pool(16, 92);
-  auto qmodel = quant::QuantModel::quantize(model, calibration);
-  std::vector<std::int8_t> before;
-  for (auto& view : qmodel.param_views()) {
-    before.insert(before.end(), view.codes, view.codes + view.size);
-  }
-
-  const std::vector<validate::CodeFault> faults = {
-      {0, 7}, {3, 0}, {before.size() - 1, 4}};
-  validate::apply_code_faults(qmodel, faults);
-  std::vector<std::int8_t> faulted;
-  for (auto& view : qmodel.param_views()) {
-    faulted.insert(faulted.end(), view.codes, view.codes + view.size);
-  }
-  EXPECT_NE(before, faulted);
-
-  validate::apply_code_faults(qmodel, faults);  // XOR twice = identity
-  std::vector<std::int8_t> restored;
-  for (auto& view : qmodel.param_views()) {
-    restored.insert(restored.end(), view.codes, view.codes + view.size);
-  }
-  EXPECT_EQ(before, restored);
-
-  EXPECT_THROW(
-      validate::apply_code_faults(
-          qmodel, {{static_cast<std::size_t>(qmodel.param_count()), 0}}),
-      Error);
-}
-
-TEST(ExecutionBackendTest, FaultInjectedBackendRunsTheSharedLoop) {
-  Sequential model = small_relu_net(95);
-  const auto inputs = random_pool(10, 96);
-  const auto calibration = random_pool(32, 97);
-  auto qmodel = quant::QuantModel::quantize(model, calibration);
-  const Tensor batch = stack_batch(inputs);
-  const validate::TestSuite suite =
-      validate::TestSuite::from_labels(inputs, qmodel.predict_labels(batch));
-  const auto victims = random_pool(5, 98);
-
-  // Sign-bit faults across the first weights: the faulty device must stay
-  // pluggable into the one detection loop and produce sound rates.
-  std::vector<validate::CodeFault> faults;
-  for (std::size_t address = 0; address < 12; ++address) {
-    faults.push_back({address, 7});
-  }
-  validate::FaultInjectedInt8Backend backend(qmodel, faults);
-  EXPECT_EQ(backend.name(), "faulty-int8");
-
-  attack::RandomPerturbation::Options attack_options;
-  attack_options.num_params = 4;
-  attack_options.relative_sigma = 6.0f;
-  attack::RandomPerturbation attack(attack_options);
-  validate::DetectionConfig config;
-  config.trials = 30;
-  config.test_counts = {5, 10};
-  const auto outcome =
-      validate::run_detection(model, suite, backend, attack, victims, config);
-  EXPECT_EQ(outcome.successful_trials + outcome.dropped_trials, 30);
-  for (const double rate : outcome.rate_per_count) {
-    EXPECT_GE(rate, 0.0);
-    EXPECT_LE(rate, 1.0);
-  }
-  EXPECT_LE(outcome.rate_per_count[0], outcome.rate_per_count[1] + 1e-12);
-}
-
 // ---------- Backend parity on a zoo model ----------
 
 TEST(BackendParityTest, Int8MatchesLegacyQuantizedDetectionOnZooModel) {

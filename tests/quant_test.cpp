@@ -1,5 +1,5 @@
 // Quantized engine tests: fixed-point requantization edge cases, the int8
-// GEMM against a naive reference, calibration observers, batch invariance,
+// GEMM against a naive reference, min/max calibration, batch invariance,
 // serialization round trips, analytic error bounds on the zoo models and
 // the quantized detection harness end to end.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "ip/quantized_ip.h"
 #include "nn/builder.h"
 #include "nn/trainer.h"
-#include "quant/observer.h"
 #include "quant/qconv.h"
 #include "quant/qgemm.h"
 #include "quant/qops.h"
@@ -92,7 +91,7 @@ TEST(RequantizeTest, ZeroRatioAndZeroChannels) {
   // All-zero channels quantize to scale 1 with exact zero codes.
   EXPECT_EQ(choose_scale(0.0f), 1.0f);
   const float weights[6] = {0.0f, 0.0f, 0.0f, 1.0f, -2.0f, 0.5f};
-  const auto scales = weight_scales(weights, 2, 3, Granularity::kPerChannel);
+  const auto scales = weight_scales(weights, 2, 3);
   ASSERT_EQ(scales.size(), 2u);
   EXPECT_EQ(scales[0], 1.0f);
   EXPECT_EQ(quantize_value(0.0f, scales[0]), 0);
@@ -384,36 +383,16 @@ TEST(QConvFusedTest, QuantModelForwardIdenticalAcrossPathsOnZooModels) {
   }
 }
 
-// ---------- Observers ----------
+// ---------- Calibration ----------
 
-TEST(ObserverTest, MinMaxTracksPeak) {
-  MinMaxObserver obs;
+TEST(CalibrationTest, AmaxTracksPeakAcrossChunks) {
+  // QuantModel::quantize folds each calibration chunk into a running
+  // max(amax, amax_of(chunk)) per activation site.
   const float chunk1[] = {0.5f, -2.0f, 1.0f};
   const float chunk2[] = {-0.25f, 1.5f};
-  obs.observe(chunk1, 3);
-  obs.observe(chunk2, 2);
-  EXPECT_FLOAT_EQ(obs.amax(), 2.0f);
-}
-
-TEST(ObserverTest, PercentileIgnoresOutliers) {
-  PercentileObserver obs(0.99);
-  std::vector<float> values;
-  for (int i = 0; i < 1000; ++i) values.push_back(static_cast<float>(i % 10));
-  values.push_back(1000.0f);  // lone outlier
-  obs.observe(values.data(), static_cast<std::int64_t>(values.size()));
-  EXPECT_LT(obs.amax(), 50.0f);
-  EXPECT_GE(obs.amax(), 9.0f);
-
-  MinMaxObserver minmax;
-  minmax.observe(values.data(), static_cast<std::int64_t>(values.size()));
-  EXPECT_FLOAT_EQ(minmax.amax(), 1000.0f);
-}
-
-TEST(ObserverTest, PercentileAllZeros) {
-  PercentileObserver obs(0.999);
-  const float zeros[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-  obs.observe(zeros, 4);
-  EXPECT_FLOAT_EQ(obs.amax(), 0.0f);
+  const float amax = std::max(amax_of(chunk1, 3), amax_of(chunk2, 2));
+  EXPECT_FLOAT_EQ(amax, 2.0f);
+  EXPECT_FLOAT_EQ(amax_of(chunk1, 0), 0.0f);
 }
 
 // ---------- QuantModel ----------
@@ -532,29 +511,6 @@ TEST(QuantModelTest, DequantizedReferenceTargetsExecutedWeights) {
   EXPECT_GT(mask.count(), 0u);
 }
 
-TEST(QuantModelTest, PerTensorVsPerChannelAgreementWithFloat) {
-  Sequential model = trained_mlp();
-  const auto pool = probe_pool(40, Shape{6});
-  QuantConfig per_tensor;
-  per_tensor.weight_granularity = Granularity::kPerTensor;
-  QuantModel qt = QuantModel::quantize(model, pool, per_tensor);
-  QuantModel qc = QuantModel::quantize(model, pool);  // per-channel default
-
-  const Tensor batch = stack_batch(pool);
-  const auto float_labels = model.predict_labels(batch);
-  int agree_t = 0, agree_c = 0;
-  const auto labels_t = qt.predict_labels(batch);
-  const auto labels_c = qc.predict_labels(batch);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    agree_t += labels_t[i] == float_labels[i];
-    agree_c += labels_c[i] == float_labels[i];
-  }
-  EXPECT_GE(agree_t, static_cast<int>(pool.size()) - 6);
-  EXPECT_GE(agree_c, static_cast<int>(pool.size()) - 6);
-  // Per-channel grids are never coarser than the per-tensor grid.
-  EXPECT_LE(qc.logit_error_bound(), qt.logit_error_bound() + 1e-9);
-}
-
 TEST(QuantModelTest, NearDeadChannelQuantizesWithoutThrowing) {
   // A hidden unit whose weights are tiny-but-nonzero (weight decay, or an
   // attack zeroing a row) must not abort quantization or the per-trial
@@ -571,26 +527,6 @@ TEST(QuantModelTest, NearDeadChannelQuantizesWithoutThrowing) {
   updated.requantize_weights_from(model);  // the detection-trial path
   EXPECT_EQ(updated.predict_labels(stack_batch(pool)),
             qm.predict_labels(stack_batch(pool)));
-}
-
-TEST(QuantModelTest, PercentileCalibrationRunsEndToEnd) {
-  Sequential model = trained_mlp();
-  const auto pool = probe_pool(40, Shape{6});
-  QuantConfig config;
-  config.calibration = CalibrationMethod::kPercentile;
-  config.percentile = 0.995;
-  QuantModel qm = QuantModel::quantize(model, pool, config);
-
-  const Tensor batch = stack_batch(pool);
-  const auto float_labels = model.predict_labels(batch);
-  const auto quant_labels = qm.predict_labels(batch);
-  int agree = 0;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    agree += quant_labels[i] == float_labels[i];
-  }
-  // Percentile clipping trades range for grid resolution; agreement should
-  // stay high on a well-separated classifier.
-  EXPECT_GE(agree, static_cast<int>(pool.size()) - 8);
 }
 
 TEST(QuantModelTest, SerializeRoundTripWithCrcFooter) {
@@ -623,9 +559,9 @@ TEST(QuantModelTest, SerializeRoundTripWithCrcFooter) {
 
 TEST(QuantModelTest, LogitErrorBoundHoldsOnZooModels) {
   // The satellite cross-check: int8-engine logits stay within the analytic
-  // bound of the float reference on both zoo models, per-channel AND
-  // per-tensor. Min/max calibration over the evaluation inputs keeps every
-  // requant clamp a projection, so the bound is sound by construction.
+  // bound of the float reference on both zoo models. Min/max calibration
+  // over the evaluation inputs keeps every requant clamp a projection, so
+  // the bound is sound by construction.
   exp::ZooOptions options;
   options.tiny = true;
   struct Case {
@@ -637,29 +573,21 @@ TEST(QuantModelTest, LogitErrorBoundHoldsOnZooModels) {
       {exp::cifar_relu(options), exp::shapes_train(48).images},
   };
   for (auto& [trained, pool] : cases) {
-    for (const Granularity granularity :
-         {Granularity::kPerChannel, Granularity::kPerTensor}) {
-      QuantConfig config;
-      config.weight_granularity = granularity;
-      QuantModel qm = QuantModel::quantize(trained.model, pool, config);
-      const double bound = qm.logit_error_bound();
-      EXPECT_GT(bound, 0.0);
-      ASSERT_TRUE(std::isfinite(bound));
+    QuantModel qm = QuantModel::quantize(trained.model, pool);
+    const double bound = qm.logit_error_bound();
+    EXPECT_GT(bound, 0.0);
+    ASSERT_TRUE(std::isfinite(bound));
 
-      const Tensor batch = stack_batch(pool);
-      const Tensor quant_logits = qm.forward(batch);
-      const Tensor float_logits = trained.model.forward(batch);
-      double max_diff = 0.0;
-      for (std::int64_t i = 0; i < quant_logits.numel(); ++i) {
-        max_diff = std::max(
-            max_diff,
-            static_cast<double>(std::fabs(quant_logits[i] - float_logits[i])));
-      }
-      EXPECT_LE(max_diff, bound)
-          << trained.name << " granularity "
-          << (granularity == Granularity::kPerChannel ? "per-channel"
-                                                      : "per-tensor");
+    const Tensor batch = stack_batch(pool);
+    const Tensor quant_logits = qm.forward(batch);
+    const Tensor float_logits = trained.model.forward(batch);
+    double max_diff = 0.0;
+    for (std::int64_t i = 0; i < quant_logits.numel(); ++i) {
+      max_diff = std::max(
+          max_diff,
+          static_cast<double>(std::fabs(quant_logits[i] - float_logits[i])));
     }
+    EXPECT_LE(max_diff, bound) << trained.name;
   }
 }
 

@@ -3,6 +3,11 @@
 // load garbage.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "coverage/criterion.h"
 #include "nn/builder.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -166,8 +171,8 @@ TEST(DecoderOverflowTest, QuantModelWeightCountOverflowThrows) {
     ByteWriter writer;
     writer.write_u32(0x384D5144);  // QuantModel magic
     writer.write_u32(1);           // version
-    writer.write_u8(0);            // weight granularity
-    writer.write_u8(0);            // calibration
+    writer.write_u8(1);            // weight granularity: per-channel
+    writer.write_u8(0);            // calibration: min/max
     writer.write_f64(99.99);
     writer.write_i64(0);
     writer.write_u8(0);            // no normalize
@@ -186,7 +191,8 @@ TEST(DecoderOverflowTest, QuantModelWeightCountOverflowThrows) {
     writer.write_i64(conv ? 0 : huge);  // in_features
     writer.write_i64(conv ? 0 : 4);     // out_features
     writer.write_u8(0);                 // dequant_output
-    writer.write_u64(0);                // no per-channel scales
+    writer.write_u64(4);                // one scale per output channel
+    for (int i = 0; i < 4; ++i) writer.write_f32(1.0f);
     writer.write_u64(0);                // weight bytes: the wrapped count
     writer.write_f32(1.0f);             // bias_scale
     writer.write_u64(4);                // four bias codes
@@ -195,6 +201,155 @@ TEST(DecoderOverflowTest, QuantModelWeightCountOverflowThrows) {
     EXPECT_THROW(quant::QuantModel::load(reader), Error)
         << (conv ? "conv" : "dense");
   }
+}
+
+// ---------- narrowed formats: one recipe, one engine ----------
+
+std::vector<std::uint8_t> quant_model_bytes() {
+  Rng rng(17);
+  std::vector<Tensor> pool;
+  for (int i = 0; i < 8; ++i) {
+    pool.push_back(Tensor::rand_uniform(Shape{4}, rng, -1.0f, 1.0f));
+  }
+  ByteWriter writer;
+  quant::QuantModel::quantize(small_model(), pool).save(writer);
+  return writer.take();
+}
+
+// Stream layout: magic u32, version u32, then the recipe tags.
+constexpr std::size_t kGranularityOffset = 8;
+constexpr std::size_t kCalibrationOffset = 9;
+
+TEST(NarrowedFormatTest, QuantModelRejectsPerTensorRecipeTag) {
+  auto bytes = quant_model_bytes();
+  {
+    ByteReader clean(bytes);
+    EXPECT_NO_THROW(quant::QuantModel::load(clean));
+  }
+  ASSERT_EQ(bytes[kGranularityOffset], 1);  // per-channel
+  bytes[kGranularityOffset] = 0;            // the deleted per-tensor tag
+  ByteReader reader(std::move(bytes));
+  EXPECT_THROW(quant::QuantModel::load(reader), Error);
+}
+
+TEST(NarrowedFormatTest, QuantModelRejectsPercentileCalibrationTag) {
+  auto bytes = quant_model_bytes();
+  ASSERT_EQ(bytes[kCalibrationOffset], 0);  // min/max
+  bytes[kCalibrationOffset] = 1;            // the deleted percentile tag
+  ByteReader reader(std::move(bytes));
+  EXPECT_THROW(quant::QuantModel::load(reader), Error);
+}
+
+/// One dequantizing dense layer (2 -> 4) carrying `num_scales` weight scales.
+std::vector<std::uint8_t> dense_layer_stream(std::uint64_t num_scales) {
+  ByteWriter writer;
+  writer.write_u32(0x384D5144);  // QuantModel magic
+  writer.write_u32(1);           // version
+  writer.write_u8(1);            // per-channel
+  writer.write_u8(0);            // min/max
+  writer.write_f64(0.999);
+  writer.write_i64(256);
+  writer.write_u8(0);            // no normalize
+  writer.write_u64(1);           // one layer
+  writer.write_u8(static_cast<std::uint8_t>(quant::QLayerKind::kDense));
+  writer.write_string("logits");
+  writer.write_f32(1.0f);  // in_scale
+  writer.write_f32(1.0f);  // out_scale
+  for (int i = 0; i < 5; ++i) writer.write_i64(0);  // conv geometry
+  writer.write_i64(2);   // in_features
+  writer.write_i64(4);   // out_features
+  writer.write_u8(1);    // dequant_output
+  writer.write_u64(num_scales);
+  for (std::uint64_t i = 0; i < num_scales; ++i) writer.write_f32(0.5f);
+  writer.write_u64(8);   // weight codes
+  for (int i = 0; i < 8; ++i) writer.write_u8(1);
+  writer.write_f32(1.0f);  // bias_scale
+  writer.write_u64(4);     // bias codes
+  for (int i = 0; i < 4; ++i) writer.write_u8(0);
+  return writer.take();
+}
+
+TEST(NarrowedFormatTest, QuantModelNeedsOneWeightScalePerOutChannel) {
+  {
+    ByteReader reader(dense_layer_stream(4));
+    EXPECT_NO_THROW(quant::QuantModel::load(reader));
+  }
+  for (const std::uint64_t count : {0u, 1u, 3u, 5u}) {
+    ByteReader reader(dense_layer_stream(count));
+    EXPECT_THROW(quant::QuantModel::load(reader), Error) << count << " scales";
+  }
+}
+
+/// A CriterionConfig stream with the given engine byte and counts, no ranges.
+std::vector<std::uint8_t> criterion_stream(std::uint8_t engine,
+                                           std::int64_t sections,
+                                           std::int64_t top_k) {
+  ByteWriter writer;
+  writer.write_u8(engine);
+  writer.write_f64(0.0);  // epsilon
+  writer.write_f64(0.0);  // neuron threshold
+  writer.write_i64(sections);
+  writer.write_i64(top_k);
+  writer.write_u64(0);  // range_low
+  writer.write_u64(0);  // range_high
+  return writer.take();
+}
+
+TEST(NarrowedFormatTest, CriterionConfigRejectsEngineTagOtherThanZero) {
+  {
+    ByteReader reader(criterion_stream(0, 10, 2));
+    const auto config = cov::CriterionConfig::load(reader);
+    EXPECT_EQ(config.sections, 10);
+    EXPECT_EQ(config.top_k, 2);
+  }
+  for (const std::uint8_t engine : {1, 2, 255}) {
+    ByteReader reader(criterion_stream(engine, 10, 2));
+    EXPECT_THROW(cov::CriterionConfig::load(reader), Error)
+        << "engine " << static_cast<int>(engine);
+  }
+}
+
+TEST(NarrowedFormatTest, CriterionConfigBoundsSectionsAndTopK) {
+  const std::int64_t int_max = std::numeric_limits<int>::max();
+  const std::int64_t wraps_to_ten = (std::int64_t{1} << 32) + 10;
+  for (const std::int64_t sections :
+       {std::int64_t{0}, std::int64_t{-3},
+        std::int64_t{cov::kMaxSections} + 1, int_max, wraps_to_ten}) {
+    ByteReader reader(criterion_stream(0, sections, 2));
+    EXPECT_THROW(cov::CriterionConfig::load(reader), Error)
+        << "sections " << sections;
+  }
+  for (const std::int64_t top_k :
+       {std::int64_t{0}, std::int64_t{-1}, int_max + 1, wraps_to_ten}) {
+    ByteReader reader(criterion_stream(0, 10, top_k));
+    EXPECT_THROW(cov::CriterionConfig::load(reader), Error)
+        << "top_k " << top_k;
+  }
+  ByteReader at_cap(criterion_stream(0, cov::kMaxSections, int_max));
+  const auto config = cov::CriterionConfig::load(at_cap);
+  EXPECT_EQ(config.sections, cov::kMaxSections);
+  EXPECT_EQ(config.top_k, int_max);
+}
+
+TEST(NarrowedFormatTest, KSectionRejectsSectionsAboveTheCap) {
+  const nn::Sequential model = small_model();
+  Rng rng(23);
+  std::vector<Tensor> pool;
+  for (int i = 0; i < 8; ++i) {
+    pool.push_back(Tensor::rand_uniform(Shape{4}, rng, -1.0f, 1.0f));
+  }
+  cov::CriterionContext ctx;
+  ctx.model = &model;
+  ctx.item_shape = Shape{4};
+  ctx.calibration = &pool;
+  // Materialised ranges: the shipped-manifest path needs no pool.
+  cov::CriterionConfig config =
+      cov::make_criterion("ksection", ctx)->config();
+  ctx.calibration = nullptr;
+  config.sections = cov::kMaxSections;
+  EXPECT_NO_THROW(cov::make_criterion("ksection", ctx, config));
+  config.sections = std::numeric_limits<int>::max();
+  EXPECT_THROW(cov::make_criterion("ksection", ctx, config), Error);
 }
 
 }  // namespace
